@@ -482,6 +482,8 @@ def _cmd_report(argv) -> int:
                                            correct=int(row["correct"]),
                                            wrong=int(row["wrong"]),
                                            time=float(row.get("time", 0))))
+        if not counts:
+            raise AfkitError(f"{opts.counts}: no solver rows")
         ranked = rank_counts(counts)
         out.mkdir(parents=True, exist_ok=True)
         rows = [{"rank": r.rank, "solver": r.counts.solver,

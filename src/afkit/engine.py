@@ -1,17 +1,31 @@
 """Optimized task engine: labelling-style backtracking search.
 
 Complete extensions are enumerated as three-valued labellings (IN / OUT /
-UNDEC) with unit propagation over the labelling conditions: an argument is IN
-exactly when all its attackers are OUT, OUT exactly when some attacker is IN,
-and UNDEC otherwise (no IN attacker, at least one UNDEC attacker).  The
-grounded fixed point is computed first and frozen into every search.
+UNDEC).  A labelling is complete when every argument meets its condition:
+
+* IN: every attacker is OUT;
+* OUT: some attacker is IN;
+* UNDEC: no attacker is IN and not every attacker is OUT.
+
+The search keeps per-argument counts of IN, OUT and UNDEC attackers and
+propagates each assignment through them.  ``assign`` rejects an assignment
+that breaks a condition as soon as the counts decide it: IN next to an IN
+or UNDEC attacker, an IN attacker next to anything but OUT, UNDEC next to
+an IN attacker or with every attacker OUT, and OUT once its attackers are
+all labelled and none is IN.  Arguments whose attackers are all OUT are
+forced IN, and the neighbours of IN arguments are forced OUT.  So at a leaf,
+where every argument is labelled, each condition has been checked at the
+moment its last input was labelled, and the leaf is reported without
+re-scanning the framework.  The grounded fixed point is computed first and
+frozen into every search.
 
 Preferred extensions are the set-maximal complete ones; semi-stable the
 range-maximal complete ones (always preferred); stable labellings are searched
 directly with UNDEC disabled; stage extensions are range-maximal among the
-maximal conflict-free sets.  The ideal extension is the largest admissible
-subset of the intersection of the preferred extensions, obtained by shrinking
-that intersection to a fixed point of the defense check.
+maximal conflict-free sets, which are enumerated and filtered as bitmasks.
+The ideal extension is the largest admissible subset of the intersection of
+the preferred extensions, obtained by shrinking that intersection to a fixed
+point of the defense check.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -19,10 +33,11 @@ canonical tie-break for SE (lexicographically least sorted member list).
 
 from __future__ import annotations
 
-from typing import Callable, FrozenSet, Iterable, List, Optional, Tuple
+from itertools import compress
+from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from .core import (ArgumentationFramework, bits, defends, grounded_extension,
-                   range_of)
+from .core import (ArgumentationFramework, attacked_mask, bits,
+                   grounded_extension, range_of)
 from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -61,21 +76,24 @@ class _LabellingSearch:
         self.att_in = [0] * self.n
         self.att_out = [0] * self.n
         self.att_undec = [0] * self.n
+        # Attacker counters indexed by label, so a label picks its counter.
+        self.counters = (None, self.att_in, self.att_out, self.att_undec)
         self.trail: List[int] = []
         self.budget = budget
-
-    def _free_attackers(self, i: int) -> int:
-        return (self.att_total[i] - self.att_in[i]
-                - self.att_out[i] - self.att_undec[i])
 
     def assign(self, pairs: Iterable[Tuple[int, int]]) -> bool:
         """Apply assignments plus propagation; False on conflict.
 
         Every committed assignment lands on the trail; callers snapshot the
-        trail length beforehand and undo back to it.
+        trail length beforehand and undo back to it.  An OUT argument is a
+        dead end once it has no IN attacker and no free one, that is, when
+        its OUT and UNDEC attackers are all of them.
         """
         queue = list(pairs)
-        lab = self.lab
+        lab, trail, counters = self.lab, self.trail, self.counters
+        att_in, att_out, att_undec = self.att_in, self.att_out, self.att_undec
+        att_total, attackers, targets = (self.att_total, self.attackers,
+                                         self.targets)
         while queue:
             i, want = queue.pop()
             cur = lab[i]
@@ -84,70 +102,60 @@ class _LabellingSearch:
                     continue
                 return False
             if want == IN:
-                if self.att_in[i] or self.att_undec[i]:
+                if att_in[i] or att_undec[i]:
                     return False
             elif want == OUT:
-                if self.att_in[i] == 0 and self._free_attackers(i) == 0:
+                if not att_in[i] and att_out[i] + att_undec[i] == att_total[i]:
                     return False
-            else:  # UNDEC
-                if self.att_in[i] or self.att_out[i] == self.att_total[i]:
-                    return False
+            elif att_in[i] or att_out[i] == att_total[i]:  # UNDEC
+                return False
             lab[i] = want
-            self.trail.append(i)
-            targets = self.targets[i]
+            trail.append(i)
+            ts = targets[i]
             # Counters first, checks second: undo_to always decrements the
             # full target list, so increments must never stop halfway.
+            counter = counters[want]
+            for y in ts:
+                counter[y] += 1
             if want == IN:
-                for y in targets:
-                    self.att_in[y] += 1
-                for z in self.attackers[i]:
+                for z in attackers[i]:
                     if lab[z] == FREE:
                         queue.append((z, OUT))
                     elif lab[z] != OUT:
                         return False
-                for y in targets:
+                for y in ts:
                     if lab[y] == FREE:
                         queue.append((y, OUT))
                     elif lab[y] != OUT:
                         return False
             elif want == OUT:
-                for y in targets:
-                    self.att_out[y] += 1
-                for y in targets:
-                    if self.att_out[y] == self.att_total[y]:
+                for y in ts:
+                    if att_out[y] == att_total[y]:
                         if lab[y] == FREE:
                             queue.append((y, IN))
                         elif lab[y] != IN:
                             return False
-                    elif (lab[y] == OUT and self.att_in[y] == 0
-                          and self._free_attackers(y) == 0):
+                    elif (lab[y] == OUT and not att_in[y]
+                          and att_out[y] + att_undec[y] == att_total[y]):
                         return False
             else:  # UNDEC
-                for y in targets:
-                    self.att_undec[y] += 1
-                for y in targets:
+                for y in ts:
                     if lab[y] == IN:
                         return False
-                    if (lab[y] == OUT and self.att_in[y] == 0
-                            and self._free_attackers(y) == 0):
+                    if (lab[y] == OUT and not att_in[y]
+                            and att_out[y] + att_undec[y] == att_total[y]):
                         return False
         return True
 
     def undo_to(self, mark: int) -> None:
-        lab = self.lab
-        while len(self.trail) > mark:
-            i = self.trail.pop()
-            was = lab[i]
+        lab, trail, counters, targets = (self.lab, self.trail, self.counters,
+                                         self.targets)
+        while len(trail) > mark:
+            i = trail.pop()
+            counter = counters[lab[i]]
             lab[i] = FREE
-            if was == IN:
-                for y in self.targets[i]:
-                    self.att_in[y] -= 1
-            elif was == OUT:
-                for y in self.targets[i]:
-                    self.att_out[y] -= 1
-            else:
-                for y in self.targets[i]:
-                    self.att_undec[y] -= 1
+            for y in targets[i]:
+                counter[y] -= 1
 
     def _first_free(self, start: int) -> int:
         lab = self.lab
@@ -156,26 +164,8 @@ class _LabellingSearch:
                 return i
         return -1
 
-    def _valid_leaf(self) -> bool:
-        lab = self.lab
-        for i in range(self.n):
-            atts = self.attackers[i]
-            if lab[i] == IN:
-                if any(lab[z] != OUT for z in atts):
-                    return False
-            elif lab[i] == OUT:
-                if not any(lab[z] == IN for z in atts):
-                    return False
-            else:
-                if any(lab[z] == IN for z in atts):
-                    return False
-                if not any(lab[z] == UNDEC for z in atts):
-                    return False
-        return True
-
     def in_set(self) -> Extension:
-        lab = self.lab
-        return self.af.names_of(i for i in range(self.n) if lab[i] == IN)
+        return frozenset(compress(self.af.args, map(IN.__eq__, self.lab)))
 
     def run(self, on_solution: Callable[[Extension], bool],
             forced: Iterable[Tuple[int, int]] = (),
@@ -184,6 +174,8 @@ class _LabellingSearch:
 
         The grounded labelling is installed first: its IN set is part of every
         complete labelling, so conflicts with ``forced`` prune immediately.
+        Every leaf is a labelling: ``assign`` keeps the labelling conditions
+        as an invariant, so a leaf needs no second check.
         """
         seed = [(self.af.index_of(a), IN) for a in grounded_extension(self.af)]
         if not self.assign(list(forced) + seed):
@@ -191,28 +183,29 @@ class _LabellingSearch:
         labels = (IN, OUT, UNDEC) if allow_undec else (IN, OUT)
         first = self._first_free(0)
         if first < 0:
-            if self._valid_leaf():
-                on_solution(self.in_set())
+            on_solution(self.in_set())
             return
+        assign, undo_to, first_free = self.assign, self.undo_to, self._first_free
+        tick, trail, n_labels = self.budget.tick, self.trail, len(labels)
         # Iterative DFS: frame = [variable, next label index, trail mark].
-        frames: List[List[int]] = [[first, 0, len(self.trail)]]
+        frames: List[List[int]] = [[first, 0, len(trail)]]
         while frames:
             frame = frames[-1]
             var, li, mark = frame
-            self.undo_to(mark)
-            if li == len(labels):
+            undo_to(mark)
+            if li == n_labels:
                 frames.pop()
                 continue
-            frame[1] += 1
-            self.budget.tick()
-            if not self.assign([(var, labels[li])]):
+            frame[1] = li + 1
+            tick()
+            if not assign(((var, labels[li]),)):
                 continue
-            nxt = self._first_free(var + 1)
+            nxt = first_free(var + 1)
             if nxt < 0:
-                if self._valid_leaf() and not on_solution(self.in_set()):
+                if not on_solution(self.in_set()):
                     return
                 continue
-            frames.append([nxt, 0, len(self.trail)])
+            frames.append([nxt, 0, len(trail)])
 
 
 def _enumerate_labellings(af: ArgumentationFramework, budget: _Budget,
@@ -263,18 +256,42 @@ def semi_stable_extensions(af: ArgumentationFramework,
 
 def stage_extensions(af: ArgumentationFramework,
                      budget: Optional[_Budget] = None) -> List[Extension]:
-    budget = budget or _Budget(None)
-    candidates = _maximal_conflict_free(af, budget)
-    ranges = [range_of(af, c) for c in candidates]
-    return [c for c, r in zip(candidates, ranges)
-            if not any(r is not o and r < o for o in ranges)]
+    candidates = _maximal_conflict_free_masks(af, budget or _Budget(None))
+    ranges = [c | attacked_mask(af, c) for c in candidates]
+    widest = _maximal_masks(set(ranges))
+    return [af.set_of(c) for c, r in zip(candidates, ranges) if r in widest]
 
 
-def _maximal_conflict_free(af: ArgumentationFramework,
-                           budget: _Budget) -> List[Extension]:
-    """Maximal conflict-free sets: maximal independent sets of the conflict
-    graph over the non-self-attacking arguments (Bron-Kerbosch with pivoting
-    on the implicit complement graph)."""
+def _maximal_masks(masks: Set[int]) -> Set[int]:
+    """The masks with no strict superset among the distinct ``masks``.
+
+    Taken largest first, a mask with a strict superset has one among the
+    maximal masks already kept.  ``holders[b]`` marks, by position in
+    ``kept``, the kept masks holding bit ``b``, so the kept supersets of a
+    mask are the AND of its bits' holders.
+    """
+    holders = [0] * max(masks, default=0).bit_length()
+    kept: List[int] = []
+    for m in sorted(masks, key=int.bit_count, reverse=True):
+        supersets = (1 << len(kept)) - 1
+        for b in bits(m):
+            supersets &= holders[b]
+            if not supersets:
+                break
+        if supersets:
+            continue
+        position = 1 << len(kept)
+        kept.append(m)
+        for b in bits(m):
+            holders[b] |= position
+    return set(kept)
+
+
+def _maximal_conflict_free_masks(af: ArgumentationFramework,
+                                 budget: _Budget) -> List[int]:
+    """Maximal conflict-free sets, as masks: maximal independent sets of the
+    conflict graph over the non-self-attacking arguments (Bron-Kerbosch with
+    pivoting on the implicit complement graph)."""
     n = len(af)
     am = af.attacker_masks()
     tm = af.target_masks()
@@ -285,51 +302,49 @@ def _maximal_conflict_free(af: ArgumentationFramework,
     conflict = [0] * n
     for i in bits(universe):
         conflict[i] = (am[i] | tm[i]) & universe & ~(1 << i)
+    full = (1 << n) - 1
 
-    out: List[Extension] = []
-
-    def neighbours(v: int, pool: int) -> int:
-        return pool & ~conflict[v] & ~(1 << v)
-
-    # Frames: [R, P, X, candidate list, next index]
-    def expand(r: int, p: int, x: int) -> None:
-        stack = [(r, p, x)]
-        while stack:
-            r, p, x = stack.pop()
-            budget.tick()
-            if p == 0 and x == 0:
-                out.append(af.set_of(r))
-                continue
-            pivot = -1
-            best = -1
-            for u in bits(p | x):
-                score = bin(p & ~conflict[u]).count("1")
-                if score > best:
-                    best, pivot = score, u
-            ext = p & ~(~conflict[pivot] & ~(1 << pivot))
-            for v in bits(ext):
-                nv = neighbours(v, (1 << n) - 1)
-                stack.append((r | (1 << v), p & nv, x & nv))
-                p &= ~(1 << v)
-                x |= 1 << v
-
-    expand(0, universe, 0)
-    return sorted(out, key=sorted_members)
+    out: List[int] = []
+    stack = [(0, universe, 0)]
+    while stack:
+        r, p, x = stack.pop()
+        budget.tick()
+        if p == 0 and x == 0:
+            out.append(r)
+            continue
+        # The pivot leaves the most of P unexpanded: it is the first
+        # argument, in index order, with the fewest conflicts inside P.  No
+        # argument has fewer than none, so finding one ends the scan.
+        pivot, fewest = -1, n + 1
+        for u in bits(p | x):
+            c = (p & conflict[u]).bit_count()
+            if c < fewest:
+                pivot, fewest = u, c
+                if not c:
+                    break
+        for v in bits(p & (conflict[pivot] | 1 << pivot)):
+            nv = full & ~conflict[v] & ~(1 << v)
+            stack.append((r | (1 << v), p & nv, x & nv))
+            p &= ~(1 << v)
+            x |= 1 << v
+    return out
 
 
 def ideal_extension(af: ArgumentationFramework,
                     budget: Optional[_Budget] = None) -> Extension:
     prefs = preferred_extensions(af, budget)
-    base: set = set(prefs[0]) if prefs else set()
-    for p in prefs[1:]:
-        base &= p
+    base = set.intersection(*(af.member_indices(p) for p in prefs))
+    attackers, targets = af.attacker_indices(), af.target_indices()
     # The intersection of the preferred extensions is conflict-free, and its
     # admissible subsets are closed under union, so shrinking to the defended
     # core yields the unique maximal admissible subset.
     while True:
-        kept = {a for a in base if defends(af, base, a)}
-        if kept == base:
-            return frozenset(base)
+        attacked = set()
+        for i in base:
+            attacked.update(targets[i])
+        kept = {i for i in base if all(z in attacked for z in attackers[i])}
+        if len(kept) == len(base):
+            return af.names_of(base)
         base = kept
 
 

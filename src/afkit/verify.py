@@ -11,8 +11,8 @@ from __future__ import annotations
 from typing import FrozenSet, Iterable
 
 from . import engine
-from .core import (ArgumentationFramework, grounded_extension, has_full_range,
-                   is_complete, is_conflict_free, range_of)
+from .core import (ArgumentationFramework, attacked_mask, grounded_extension,
+                   has_full_range, is_complete, is_conflict_free, range_of)
 from .tasks import Semantics
 
 
@@ -57,10 +57,14 @@ def verify(sem: Semantics, af: ArgumentationFramework,
         return False
     if has_full_range(af, s):
         return True
-    r = range_of(af, s)
+    r = af.mask_of(s)
+    r |= attacked_mask(af, r)
     # Ranges of conflict-free sets are dominated by ranges of maximal ones.
-    return not any(range_of(af, c) > r
-                   for c in engine._maximal_conflict_free(af, engine._Budget(None)))
+    for c in engine._maximal_conflict_free_masks(af, engine._Budget(None)):
+        rc = c | attacked_mask(af, c)
+        if rc != r and rc & r == r:
+            return False
+    return True
 
 
 def _exists_complete_strictly_above(af: ArgumentationFramework,

@@ -206,6 +206,15 @@ class TestPipeline:
                            "tied": False}
         assert rows[1]["points"] == 834 - 5 * 402
 
+    def test_report_from_header_only_counts_csv_is_a_clean_error(
+            self, capsys, tmp_path):
+        counts = tmp_path / "counts.csv"
+        counts.write_text("solver,correct,wrong,time\n")
+        code, out, err = run_cli(capsys, "report", "--counts", str(counts),
+                                 "--out-dir", str(tmp_path / "rep"))
+        assert code == 1 and out == ""
+        assert err.startswith("afkit: ") and "no solver rows" in err
+
 
 class TestEnvironmentOverrides:
     def test_env_limits_and_jobs(self, capsys, tmp_path, monkeypatch):

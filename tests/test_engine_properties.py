@@ -1,0 +1,181 @@
+"""Property tests of the labelling search on structured frameworks.
+
+The frameworks are built from the shapes that drive the search into its
+corners: self-attackers, odd and even cycles, mutual-attack pairs, and
+chains of such SCCs, plus a few stray attacks.
+
+* Every labelling the search reports satisfies the three labelling
+  conditions.  The search itself never re-checks a leaf: ``assign`` keeps
+  the conditions as an invariant, and this test is where they are checked.
+* Renaming and reordering the arguments changes no answer of any task.
+"""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from afkit import engine, oracle
+from afkit.core import ArgumentationFramework, has_full_range, is_complete
+from afkit.engine import IN, OUT, UNDEC
+from afkit.tasks import (AllExtensions, OneExtension, Semantics, Triathlon,
+                         YesNo, all_task_names, parse_task)
+
+LABELS = (IN, OUT, UNDEC)
+SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
+                    database=None)
+
+
+@st.composite
+def structured_afs(draw, max_args=9):
+    """Blocks of self-attackers, cycles and mutual pairs, chained by
+    attacks from each block into the next, in a drawn argument order."""
+    names, attacks, blocks = [], [], []
+    shapes = draw(st.lists(st.sampled_from(
+        ["self", "odd3", "odd5", "pair", "even4", "free"]),
+        min_size=1, max_size=4))
+    for shape in shapes:
+        size = {"self": 1, "odd3": 3, "odd5": 5, "pair": 2, "even4": 4,
+                "free": 1}[shape]
+        if len(names) + size > max_args:
+            break
+        block = [f"a{len(names) + k}" for k in range(size)]
+        names += block
+        if shape != "free":
+            attacks += [(a, block[(k + 1) % size]) for k, a in enumerate(block)]
+        if blocks:
+            prev = blocks[-1]
+            for _ in range(draw(st.integers(1, 2))):
+                attacks.append((draw(st.sampled_from(prev)),
+                                draw(st.sampled_from(block))))
+        blocks.append(block)
+    stray = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    attacks += draw(st.lists(stray, max_size=3))
+    return ArgumentationFramework(draw(st.permutations(names)), attacks)
+
+
+@st.composite
+def searches(draw):
+    """A framework, labels forced on some of its arguments, and whether
+    UNDEC is allowed.  The stable search is only ever forced IN or OUT."""
+    af = draw(structured_afs())
+    allow_undec = draw(st.booleans())
+    labels = LABELS if allow_undec else (IN, OUT)
+    chosen = draw(st.lists(st.sampled_from(af.args), unique=True,
+                           max_size=3))
+    forced = {a: draw(st.sampled_from(labels)) for a in chosen}
+    return af, forced, allow_undec
+
+
+def labelling_conditions_hold(lab, attackers) -> bool:
+    """IN: every attacker OUT.  OUT: some attacker IN.  UNDEC: no attacker
+    IN and not every attacker OUT."""
+    for i, label in enumerate(lab):
+        around = [lab[z] for z in attackers[i]]
+        if label == IN:
+            ok = all(a == OUT for a in around)
+        elif label == OUT:
+            ok = IN in around
+        elif label == UNDEC:
+            ok = IN not in around and UNDEC in around
+        else:
+            ok = False  # a leaf leaves no argument unlabelled
+        if not ok:
+            return False
+    return True
+
+
+def _fits(af, ext, forced) -> bool:
+    """Whether the labelling of extension ``ext`` agrees with ``forced``."""
+    attacked = {b for a, b in af.attacks if a in ext}
+    return all(label == (IN if a in ext else OUT if a in attacked else UNDEC)
+               for a, label in forced.items())
+
+
+@SETTINGS
+@given(searches())
+def test_every_reported_leaf_is_a_labelling(case):
+    af, forced, allow_undec = case
+    search = engine._LabellingSearch(af, engine._Budget(None))
+    reported = []
+
+    def on_leaf(ext):
+        assert labelling_conditions_hold(search.lab, search.attackers)
+        assert all(search.lab[af.index_of(a)] == label
+                   for a, label in forced.items())
+        assert is_complete(af, ext)
+        if not allow_undec:
+            assert has_full_range(af, ext)
+        reported.append(ext)
+        return True
+
+    search.run(on_leaf, [(af.index_of(a), label)
+                         for a, label in forced.items()], allow_undec)
+    sem = Semantics.CO if allow_undec else Semantics.ST
+    expected = [e for e in oracle.oracle_enumerate(sem, af)
+                if _fits(af, e, forced)]
+    assert sorted(map(sorted, reported)) == sorted(map(sorted, expected))
+
+
+# ---------------------------------------------------------------------------
+# Metamorphic: renaming and reordering arguments
+
+@st.composite
+def renamed_afs(draw):
+    """A framework and a copy with its arguments listed in reverse order
+    and renamed by a drawn bijection, so name order changes too."""
+    af = draw(structured_afs(max_args=7))
+    fresh = draw(st.permutations([f"r{k}" for k in range(len(af))]))
+    rename = dict(zip(af.args, fresh))
+    copy = ArgumentationFramework(
+        [rename[a] for a in reversed(af.args)],
+        [(rename[a], rename[b]) for a, b in af.attacks])
+    return af, copy, rename
+
+
+def _back(ext, inverse):
+    return frozenset(inverse[a] for a in ext)
+
+
+def _back_all(exts, inverse):
+    return sorted(sorted(_back(e, inverse)) for e in exts)
+
+
+def _as_sorted(exts):
+    return sorted(sorted(e) for e in exts)
+
+
+@SETTINGS
+@given(renamed_afs())
+def test_answers_survive_renaming_and_reordering(case):
+    af, copy, rename = case
+    inverse = {new: old for old, new in rename.items()}
+    for name in all_task_names():
+        if name.startswith(("DC", "DS")):
+            for q in af.args:
+                got = engine.solve_optimized(parse_task(name, rename[q]), copy)
+                want = engine.solve_optimized(parse_task(name, q), af)
+                assert isinstance(got, YesNo)
+                assert got == want, (name, q, sorted(af.attacks))
+            continue
+        got = engine.solve_optimized(parse_task(name), copy)
+        want = engine.solve_optimized(parse_task(name), af)
+        if isinstance(got, AllExtensions):
+            assert _back_all(got.extensions, inverse) == \
+                _as_sorted(want.extensions), (name, sorted(af.attacks))
+        elif isinstance(got, Triathlon):
+            for part in ("grounded", "stable", "preferred"):
+                assert _back_all(getattr(got, part), inverse) == \
+                    _as_sorted(getattr(want, part)), (part, sorted(af.attacks))
+        else:
+            assert isinstance(got, OneExtension)
+            # SE breaks ties by argument name, so a renamed framework may
+            # pick another extension: it must still be one of them.
+            sem = name[3:]
+            if sem in ("GR", "ID"):
+                assert _back(got.extension, inverse) == want.extension
+                continue
+            all_exts = engine.solve_optimized(parse_task(f"EE-{sem}"), af)
+            if got.extension is None:
+                assert all_exts.extensions == ()
+            else:
+                assert _back(got.extension, inverse) in all_exts.extensions, \
+                    (name, sorted(af.attacks))
