@@ -12,7 +12,7 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, Set, Tuple
 
 from .errors import UnknownArgumentError
 
@@ -33,29 +33,34 @@ class ArgumentationFramework:
 
     def __init__(self, args: Iterable[ArgumentId],
                  attacks: Iterable[Tuple[ArgumentId, ArgumentId]] = ()):
-        ordered: list[str] = []
-        seen = set()
-        for a in args:
-            if a not in seen:
-                seen.add(a)
-                ordered.append(a)
-        self._args: Tuple[str, ...] = tuple(ordered)
-        self._index: Dict[str, int] = {a: i for i, a in enumerate(self._args)}
-        attack_set = frozenset(attacks)
-        for src, dst in attack_set:
-            if src not in self._index or dst not in self._index:
-                raise UnknownArgumentError(
-                    f"attack ({src},{dst}) mentions an undeclared argument")
-        self._attacks: FrozenSet[Tuple[str, str]] = attack_set
+        self._args: Tuple[str, ...] = tuple(dict.fromkeys(args))
+        index = self._index = {a: i for i, a in enumerate(self._args)}
         n = len(self._args)
+        attack_set = frozenset(attacks)
+        # Sort the attacks once, as index pairs packed into ints
+        # (source * n + target); filling both adjacency lists in that order
+        # leaves each of them sorted.  The lists take their ints from
+        # ``ids``, the index's own objects, rather than fresh ones from
+        # divmod, so the adjacency tuples add no int objects.
+        try:
+            codes = [index[src] * n + index[dst] for src, dst in attack_set]
+        except KeyError:
+            src, dst = next((s, d) for s, d in attack_set
+                            if s not in index or d not in index)
+            raise UnknownArgumentError(
+                f"attack ({src},{dst}) mentions an undeclared argument") from None
+        codes.sort()
+        self._attacks: FrozenSet[Tuple[str, str]] = attack_set
+        ids = list(index.values())
         attackers: list[list[int]] = [[] for _ in range(n)]
         targets: list[list[int]] = [[] for _ in range(n)]
-        for src, dst in attack_set:
-            s, d = self._index[src], self._index[dst]
-            targets[s].append(d)
-            attackers[d].append(s)
-        self._attackers = tuple(tuple(sorted(v)) for v in attackers)
-        self._targets = tuple(tuple(sorted(v)) for v in targets)
+        for code in codes:
+            s, d = divmod(code, n)
+            targets[s].append(ids[d])
+            attackers[d].append(ids[s])
+        del codes   # its memory serves the tuples below
+        self._attackers = tuple(map(tuple, attackers))
+        self._targets = tuple(map(tuple, targets))
         # Bitmask views are built on demand: they are what the exhaustive
         # oracle wants, but at generator scale (10^6 arguments) per-argument
         # masks would dominate memory.

@@ -13,45 +13,70 @@ import re
 from typing import Tuple
 
 from .core import ArgumentationFramework
-from .errors import FormatError
+from .errors import FormatError, UnknownArgumentError
 
 FORMATS = ("apx", "tgf")
 
 _ID = r"[A-Za-z0-9_]+"
-_ARG_RE = re.compile(rf"^arg\(\s*({_ID})\s*\)\.$")
-_ATT_RE = re.compile(rf"^att\(\s*({_ID})\s*,\s*({_ID})\s*\)\.$")
 _ID_RE = re.compile(rf"^{_ID}$")
+# One APX line: an arg or att atom, or nothing, with whitespace around and
+# inside the atom.  Matched in MULTILINE mode over lines separated by "\n";
+# ``[^\S\n]`` is whitespace that does not cross into the next line.
+_WS = r"[^\S\n]*"
+_APX_LINE_RE = re.compile(
+    rf"^{_WS}(?:(?:arg\({_WS}({_ID}){_WS}\)"
+    rf"|att\({_WS}({_ID}){_WS},{_WS}({_ID}){_WS}\))\.{_WS})?$", re.M)
+# The line boundaries str.splitlines honours besides "\n"; re.M sees none.
+_OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 
 
 def parse_apx(text: str) -> ArgumentationFramework:
-    """Parse APX text; attack endpoints must be declared arguments."""
-    args: list[str] = []
+    """Parse APX text; attack endpoints must be declared on an earlier line.
+
+    Lines are those of ``str.splitlines``.  One ``findall`` over the text
+    yields an ``(arg, src, dst)`` triple per line, all empty for a blank
+    line.  A line yields at most one match, so every line matched iff there
+    are as many matches as lines; only otherwise is the text walked line by
+    line for the first bad one.
+    """
+    body = text
+    if any(c in text for c in _OTHER_BREAKS):
+        body = "\n".join(text.splitlines())
+    found = _APX_LINE_RE.findall(body)
+    # re.M also starts a line after a final "\n"; that empty line matches.
+    if len(found) != body.count("\n") + 1:
+        _check_apx_lines(text)
+    args = [a for a, _, _ in found if a]
+    attacks = [(src, dst) for _, src, dst in found if src]
+    del found   # freed before the framework's own peak
+    # An "arg(" after the first "att(" may declare an attacked argument too
+    # late; "(" cannot occur inside an identifier.
+    if body.rfind("arg(") > body.find("att(") >= 0:
+        _check_apx_lines(text)
+    try:
+        return ArgumentationFramework(args, attacks)
+    except UnknownArgumentError:
+        _check_apx_lines(text)   # raises with the line number
+        raise
+
+
+def _check_apx_lines(text: str) -> None:
+    """Raise FormatError at the first line that is neither blank nor an APX
+    atom, or that names an attack endpoint no earlier line declares."""
     seen = set()
-    attacks: list[Tuple[str, str]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        m = _ARG_RE.match(line)
-        if m:
-            name = m.group(1)
-            if name not in seen:
-                seen.add(name)
-                args.append(name)
-            continue
-        m = _ATT_RE.match(line)
-        if m:
-            src, dst = m.group(1), m.group(2)
-            if src not in seen:
-                raise FormatError(f"attack endpoint {src!r} is not a declared argument",
-                                  line=lineno)
-            if dst not in seen:
-                raise FormatError(f"attack endpoint {dst!r} is not a declared argument",
-                                  line=lineno)
-            attacks.append((src, dst))
-            continue
-        raise FormatError(f"unrecognised APX line: {raw!r}", line=lineno)
-    return ArgumentationFramework(args, attacks)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        m = _APX_LINE_RE.match(line)
+        if m is None:
+            raise FormatError(f"unrecognised APX line: {line!r}", line=lineno)
+        arg, src, dst = m.groups()
+        if arg:
+            seen.add(arg)
+        elif src:
+            for end in (src, dst):
+                if end not in seen:
+                    raise FormatError(
+                        f"attack endpoint {end!r} is not a declared argument",
+                        line=lineno)
 
 
 def write_apx(af: ArgumentationFramework) -> str:

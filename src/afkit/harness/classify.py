@@ -34,11 +34,6 @@ class HardnessCategory(str, Enum):
         return self.value
 
 
-SELECTABLE_CATEGORIES = (HardnessCategory.VERY_EASY, HardnessCategory.EASY,
-                         HardnessCategory.MEDIUM, HardnessCategory.HARD,
-                         HardnessCategory.TOO_HARD)
-
-
 @dataclass(frozen=True)
 class RefRun:
     """One reference solver's result: elapsed seconds, and whether it crashed

@@ -23,9 +23,7 @@ from ..solutions import SolutionText, write_solution
 from ..tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                      Triathlon, YesNo)
 from ..verify import verify
-
-CORRECT, INCORRECT, ZERO = "correct", "incorrect", "zero"
-_POINTS = {CORRECT: 1, INCORRECT: -5, ZERO: 0}
+from .records import CORRECT, INCORRECT, POINTS, ZERO
 
 
 @dataclass(frozen=True)
@@ -36,7 +34,7 @@ class Judgement:
 
     @staticmethod
     def of(verdict: str, unchecked: bool = False) -> "Judgement":
-        return Judgement(verdict, _POINTS[verdict], unchecked)
+        return Judgement(verdict, POINTS[verdict], unchecked)
 
 
 class ReferenceBundle:

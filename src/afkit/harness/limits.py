@@ -27,6 +27,3 @@ class ResourceLimits:
         if task_name == "D3":
             return ResourceLimits(D3_WALL_SECONDS, D3_MEMORY_BYTES)
         return ResourceLimits()
-
-    def scaled(self, wall_factor: float) -> "ResourceLimits":
-        return ResourceLimits(self.wall_seconds * wall_factor, self.memory_bytes)

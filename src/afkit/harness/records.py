@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
+
+CORRECT, INCORRECT, ZERO = "correct", "incorrect", "zero"
+# Points per verdict; judging, records and scoring all read this table.
+POINTS = {CORRECT: 1, INCORRECT: -5, ZERO: 0}
 
 
 @dataclass
@@ -34,7 +39,7 @@ class JobRecord:
     def judged(self, verdict: str, unchecked: bool = False) -> "JobRecord":
         self.verdict = verdict
         self.unchecked = unchecked
-        self.points = {"correct": 1, "incorrect": -5, "zero": 0}[verdict]
+        self.points = POINTS[verdict]
         return self
 
     def to_json(self) -> str:
@@ -50,6 +55,7 @@ def append_record(path, record: JobRecord) -> None:
     with open(path, "a", encoding="utf-8") as fh:
         fh.write(record.to_json() + "\n")
         fh.flush()
+        os.fsync(fh.fileno())
 
 
 def read_records(path) -> Iterator[JobRecord]:

@@ -11,11 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .records import JobRecord
+from .records import CORRECT, INCORRECT, POINTS, JobRecord
 
 
 def score(correct: int, wrong: int) -> int:
-    return correct - 5 * wrong
+    return correct * POINTS[CORRECT] + wrong * POINTS[INCORRECT]
 
 
 @dataclass(frozen=True)
@@ -67,7 +67,7 @@ def aggregate(records: Sequence[JobRecord],
     solvers = sorted({r.solver for r in chosen})
     cell_correct: Dict[Tuple[str, str, str], List[JobRecord]] = {}
     for r in chosen:
-        if r.verdict == "correct":
+        if r.verdict == CORRECT:
             cell_correct.setdefault((r.task, r.instance, r.query or ""), []).append(r)
     usc: Dict[str, int] = {s: 0 for s in solvers}
     usc_unchecked: Dict[str, int] = {s: 0 for s in solvers}
@@ -79,13 +79,13 @@ def aggregate(records: Sequence[JobRecord],
     out = []
     for s in solvers:
         mine = [r for r in chosen if r.solver == s]
-        correct = sum(1 for r in mine if r.verdict == "correct")
-        wrong = sum(1 for r in mine if r.verdict == "incorrect")
+        correct = sum(1 for r in mine if r.verdict == CORRECT)
+        wrong = sum(1 for r in mine if r.verdict == INCORRECT)
         timeouts = sum(1 for r in mine if r.status == "timeout")
         other = sum(1 for r in mine
-                    if r.verdict not in ("correct", "incorrect")
+                    if r.verdict not in (CORRECT, INCORRECT)
                     and r.status != "timeout")
-        time = sum(r.elapsed for r in mine if r.verdict == "correct")
+        time = sum(r.elapsed for r in mine if r.verdict == CORRECT)
         out.append(SolverCounts(solver=s, correct=correct, wrong=wrong,
                                 time=time, timeouts=timeouts, other=other,
                                 usc=usc[s], usc_unchecked=usc_unchecked[s]))

@@ -22,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ArgumentationFramework, grounded_extension
 from ..engine import preferred_extensions, _Budget
-from ..errors import InsufficientPoolError
+from ..errors import BudgetExceededError, InsufficientPoolError
 from ..rng import SeededRng
 from .classify import HardnessCategory
 
@@ -153,6 +153,35 @@ def select_ideal_argument(af: ArgumentationFramework, rng: SeededRng,
     if outside:
         return rng.choice(outside)
     return rng.choice(sorted(af.args))  # whole framework accepted everywhere
+
+
+def assign_ideal_queries(instances: Sequence[Tuple[str, ArgumentationFramework, HardnessCategory]],
+                         rng: SeededRng, budget: Optional[int] = None
+                         ) -> Dict[str, List[str]]:
+    """Distinct credulous-ideal query arguments per instance (group D).
+
+    Each instance gets ``query_count_for`` its category.  Easy and medium
+    instances draw with ``select_ideal_argument``, falling back to a uniform
+    pick when preferred enumeration exceeds ``budget``; the other categories
+    draw uniformly.
+    """
+    out: Dict[str, List[str]] = {}
+    for name, af, category in instances:
+        count = min(query_count_for(category), len(af))
+        picks: List[str] = []
+        while len(picks) < count:
+            arg = None
+            if category in (HardnessCategory.EASY, HardnessCategory.MEDIUM):
+                try:
+                    arg = select_ideal_argument(af, rng, budget=budget)
+                except BudgetExceededError:
+                    pass
+            if arg is None:
+                arg = rng.choice(list(af.args))
+            if arg not in picks:
+                picks.append(arg)
+        out[name] = picks
+    return out
 
 
 @dataclass

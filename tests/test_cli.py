@@ -90,6 +90,46 @@ class TestSolverMode:
             assert parsed.answer == oracle.solve(task, af)
 
 
+def _imported_modules(*args):
+    """Modules a fresh interpreter imports while running ``args``, beyond
+    those a bare interpreter already imports; read from ``-X importtime``."""
+    import os
+    import subprocess
+    from pathlib import Path
+
+    import afkit
+    src = str(Path(afkit.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def modules(argv):
+        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
+                              env=env, capture_output=True, text=True,
+                              check=True)
+        return {line.rsplit("|", 1)[1].strip()
+                for line in proc.stderr.splitlines()
+                if line.startswith("import time:") and "|" in line}
+
+    return modules(args) - modules(["-c", "pass"])
+
+
+class TestImportBoundary:
+    # Solver mode must not pay for the competition harness or the
+    # generators: each ICCMA call is a fresh process, timed from spawn.
+    HEAVY = {"afkit.harness", "afkit.generators", "afkit.subcommands",
+             "concurrent.futures", "csv"}
+
+    def test_solver_call_loads_only_the_solving_modules(self, example1_apx):
+        loaded = _imported_modules("-m", "afkit", "-f", example1_apx,
+                                   "-fo", "apx", "-p", "SE-GR")
+        assert {"afkit.cli", "afkit.formats", "afkit.engine"} <= loaded
+        assert not loaded & self.HEAVY
+
+    def test_problems_loads_only_the_solving_modules(self):
+        loaded = _imported_modules("-m", "afkit", "--problems")
+        assert "afkit.cli" in loaded
+        assert not loaded & self.HEAVY
+
+
 class TestGenerate:
     def test_spec_lines_and_manifest(self, capsys, tmp_path):
         out_dir = tmp_path / "inst"

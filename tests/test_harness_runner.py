@@ -114,6 +114,23 @@ class TestRecordsAndRoster:
         assert back == [r]
         assert back[0].points == 1 and back[0].unchecked
 
+    def test_append_record_fsyncs_every_line(self, tmp_path, monkeypatch):
+        from afkit.harness import records
+        synced = []
+        real_fsync = records.os.fsync
+
+        def counting_fsync(fd):
+            synced.append(fd)
+            real_fsync(fd)
+
+        monkeypatch.setattr(records.os, "fsync", counting_fsync)
+        log = tmp_path / "r.jsonl"
+        for i in range(3):
+            append_record(log, JobRecord(solver="s", task="EE-PR",
+                                         instance=f"i{i}"))
+        assert len(synced) == 3
+        assert [r.instance for r in read_records(log)] == ["i0", "i1", "i2"]
+
     def test_points_verdict_coupling(self):
         r = JobRecord(solver="s", task="t", instance="i")
         assert r.judged("incorrect").points == -5

@@ -5,7 +5,7 @@ import pytest
 from afkit.core import ArgumentationFramework
 from afkit.errors import InsufficientPoolError
 from afkit.harness.classify import HardnessCategory
-from afkit.harness.select import (GROUPS, SelectionQuota,
+from afkit.harness.select import (GROUPS, SelectionQuota, assign_ideal_queries,
                                   assign_query_arguments, query_count_for,
                                   select_arguments, select_benchmarks,
                                   select_by_quota, select_ideal_argument)
@@ -182,3 +182,24 @@ class TestIdealArgumentStrategy:
         rng = SeededRng(3)
         for _ in range(20):
             assert select_ideal_argument(af, rng) == "a"
+
+
+class TestIdealQueryAssignment:
+    def test_counts_distinct_and_deterministic(self, example1):
+        instances = [("ve", example1, HardnessCategory.VERY_EASY),
+                     ("e", example1, HardnessCategory.EASY),
+                     ("m", example1, HardnessCategory.MEDIUM),
+                     ("h", example1, HardnessCategory.HARD),
+                     ("th", example1, HardnessCategory.TOO_HARD)]
+        picks = assign_ideal_queries(instances, SeededRng(5))
+        assert {name: len(q) for name, q in picks.items()} == \
+            {"ve": 0, "e": 1, "m": 1, "h": 1, "th": 2}
+        assert len(set(picks["th"])) == 2
+        assert all(a in example1 for q in picks.values() for a in q)
+        assert assign_ideal_queries(instances, SeededRng(5)) == picks
+
+    def test_budget_overrun_falls_back_to_a_uniform_pick(self, example1):
+        # Preferred enumeration of example 1 needs more than one node.
+        picks = assign_ideal_queries([("e", example1, HardnessCategory.EASY)],
+                                     SeededRng(2), budget=1)
+        assert len(picks["e"]) == 1 and picks["e"][0] in example1
