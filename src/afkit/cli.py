@@ -31,8 +31,7 @@ from .formats import FORMATS, load_framework
 from .solutions import write_solution
 from .tasks import all_task_names, parse_task
 
-SUBCOMMANDS = ("solve", "oracle", "generate", "classify", "select", "run",
-               "report")
+SUBCOMMANDS = ("oracle", "generate", "classify", "select", "run", "report")
 
 # Environment overrides for harness defaults; explicit flags still win.
 ENV_TIMEOUT = "AFKIT_TIMEOUT"
@@ -62,8 +61,6 @@ def main(argv=None) -> int:
     try:
         if argv and argv[0] in SUBCOMMANDS:
             name, rest = argv[0], argv[1:]
-            if name == "solve":
-                return _solver_mode(rest, backend="optimized")
             if name == "oracle":
                 return _solver_mode(rest, backend="oracle")
             from .subcommands import HANDLERS
@@ -90,8 +87,6 @@ def _solver_parser() -> argparse.ArgumentParser:
     p.add_argument("-fo", dest="format", choices=FORMATS, help="instance format")
     p.add_argument("-p", dest="task", help="task name, e.g. EE-PR or D3")
     p.add_argument("-a", dest="query", help="query argument for DC/DS tasks")
-    p.add_argument("--engine", dest="backend", choices=("optimized", "oracle"),
-                   default="optimized", help="solving backend")
     p.add_argument("--budget", type=int, default=None,
                    help="node-expansion budget for the optimized backend")
     return p
@@ -111,7 +106,7 @@ def _solver_mode(argv, backend: str) -> int:
         return 2
     task = parse_task(opts.task, opts.query)
     af = load_framework(opts.file, opts.format)
-    if opts.backend == "oracle" or backend == "oracle":
+    if backend == "oracle":
         answer = oracle.solve(task, af)
     else:
         answer = engine.solve_optimized(task, af, budget=opts.budget)

@@ -3,8 +3,9 @@
 An argumentation framework is a finite directed graph: a set of named
 arguments and a set of attack pairs.  This module holds the framework type
 and the polynomial-time building blocks every semantics is defined from:
-conflict-freeness, defense, range, admissibility, completeness, and the
-grounded fixed point.
+conflict-freeness, defense, range, admissibility, completeness, the
+grounded fixed point, and the strongly connected components of an attack
+graph.
 
 All types are immutable values; every function here is pure and safe to call
 concurrently.
@@ -12,7 +13,7 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 from .errors import UnknownArgumentError
 
@@ -252,6 +253,62 @@ def grounded_extension(af: ArgumentationFramework) -> Extension:
                 if pending[z] == 0 and state[z] == UNKNOWN:
                     queue.append(z)
     return af.names_of(in_set)
+
+
+def strongly_connected_components(succ: Sequence[Sequence[int]]
+                                  ) -> List[List[int]]:
+    """Strongly connected components of the digraph on ``0..len(succ)-1``
+    whose node ``i`` has an edge to each index in ``succ[i]``.
+
+    Takes the shape of ``ArgumentationFramework.target_indices()``.  Tarjan's
+    algorithm (1972), linear in nodes plus edges, driven by an explicit stack
+    of successor iterators so that path depth is bounded by memory rather
+    than by the recursion limit.  Components come out in reverse topological
+    order: no edge leads from a component to one listed after it.
+    """
+    n = len(succ)
+    index = [-1] * n    # discovery number; -1 while unvisited
+    low = [0] * n
+    on_stack = [False] * n
+    stack: List[int] = []
+    components: List[List[int]] = []
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(succ[root]))]
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                # Every successor of v is done: close v.
+                work.pop()
+                if low[v] == index[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
+                # Not a component root, so not the DFS root: v has a parent.
+                elif low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+    return components
 
 
 # Mask-level predicate helpers shared with the exhaustive oracle.

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
-from .core import ArgumentationFramework
+from .core import ArgumentationFramework, strongly_connected_components
 from .errors import FormatError, InvalidConfigError
 from .rng import SeededRng
 
@@ -338,14 +338,6 @@ def gen_erdos(cfg: ErdosRenyi, rng: SeededRng) -> ArgumentationFramework:
     return ArgumentationFramework(names, attacks)
 
 
-def _scc_count(n: int, attacks: Set[Tuple[int, int]]) -> int:
-    import networkx as nx
-    g = nx.DiGraph()
-    g.add_nodes_from(range(n))
-    g.add_edges_from(attacks)
-    return nx.number_strongly_connected_components(g)
-
-
 def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
                 r: SeededRng) -> None:
     """Add random attacks while the SCC count exceeds n * (1 - prob_cycles).
@@ -356,8 +348,11 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
     if n <= 1:
         return
     bound = n * (1.0 - prob_cycles)
+    succ: List[List[int]] = [[] for _ in range(n)]
+    for u, v in attacks:
+        succ[u].append(v)
     while True:
-        count = _scc_count(n, attacks)
+        count = len(strongly_connected_components(succ))
         if count <= bound or count <= 1:
             return
         while True:
@@ -367,6 +362,7 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
                 v += 1
             if (u, v) not in attacks:
                 attacks.add((u, v))
+                succ[u].append(v)
                 break
 
 

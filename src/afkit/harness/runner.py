@@ -16,9 +16,9 @@ import signal
 import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .limits import ResourceLimits
 from .records import JobRecord, append_record
@@ -127,7 +127,7 @@ def run_job(job: JobSpec) -> JobRecord:
 
 
 def run_jobs(jobs: Sequence[JobSpec], parallelism: int = 1,
-             log_path=None, progress=None) -> List[JobRecord]:
+             log_path=None) -> List[JobRecord]:
     """Run jobs on a bounded worker pool.
 
     Records are appended to ``log_path`` as jobs finish (append-only,
@@ -144,8 +144,6 @@ def run_jobs(jobs: Sequence[JobSpec], parallelism: int = 1,
         if log_path is not None:
             append_record(log_path, record)
         records.append(record)
-        if progress is not None:
-            progress(record)
     if parallelism > 1:
         pool.shutdown()
     records.sort(key=lambda r: (r.solver, r.task, r.instance, r.query or ""))

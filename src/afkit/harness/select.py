@@ -17,13 +17,14 @@ preferred extension but outside the grounded one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ArgumentationFramework, grounded_extension
-from ..engine import preferred_extensions, _Budget
+from ..engine import enumerate_extensions
 from ..errors import BudgetExceededError, InsufficientPoolError
 from ..rng import SeededRng
+from ..tasks import Semantics
 from .classify import HardnessCategory
 
 # Task groups with their member tasks and (for A, B, C) the representative
@@ -138,7 +139,7 @@ def select_ideal_argument(af: ArgumentationFramework, rng: SeededRng,
     enumeration blows the budget; callers fall back to a uniform pick.
     """
     grounded = grounded_extension(af)
-    prefs = preferred_extensions(af, _Budget(budget))
+    prefs = enumerate_extensions(Semantics.PR, af, budget)
     inter = set(prefs[0]) if prefs else set()
     for p in prefs[1:]:
         inter &= p

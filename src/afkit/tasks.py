@@ -74,9 +74,6 @@ class TaskSpec:
             return "D3"
         return f"{self.problem}-{self.semantics}"
 
-    def with_query(self, query: Optional[str]) -> "TaskSpec":
-        return TaskSpec(self.problem, self.semantics, query)
-
 
 def parse_task(name: str, query: Optional[str] = None) -> TaskSpec:
     """Parse a wire-form task name such as ``EE-PR`` or ``D3``."""

@@ -169,6 +169,36 @@ class TestGenerate:
         af = load_framework(next(out_dir.glob("*.tgf")))
         assert len(af.args) == 5
 
+    def test_runs_without_networkx(self, tmp_path):
+        # afkit's runtime is the standard library alone: cycle enrichment
+        # must work, byte for byte, where networkx cannot be imported.
+        import hashlib
+        import os
+        import subprocess
+        from pathlib import Path
+
+        import afkit
+        src = str(Path(afkit.__file__).resolve().parent.parent)
+        wrapper = ('import sys; sys.modules["networkx"] = None; '
+                   'from afkit.cli import main; sys.exit(main())')
+        out_dir = tmp_path / "inst"
+        proc = subprocess.run(
+            [sys.executable, "-c", wrapper, "generate", "--out", str(out_dir),
+             "--seed", "7",
+             "--spec", "watts n=200 k=2 beta=0.1 prob_cycles=0.9",
+             "--spec", "barabasi n=200 prob_cycles=0.9"],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True)
+        assert proc.returncode == 0, proc.stderr
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for p in out_dir.glob("*.apx")}
+        assert digests == {
+            "wattsstrogatz_00000.apx":
+                "918bd215bc60ffc998138a403916befae244ed08eb3aaae1b68841e85312c942",
+            "barabasialbert_00001.apx":
+                "3c5f91fbea9e89b94f6470ecd17bb03cf0d37f0ccbb3b853ef344f32e13c95f8",
+        }
+
 
 def _roster(tmp_path, name="roster.json", entries=None):
     entries = entries or [

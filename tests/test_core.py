@@ -1,12 +1,12 @@
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from afkit.core import (ArgumentationFramework, defends, grounded_extension,
-                        is_admissible, is_complete, is_conflict_free, range_of)
+                        is_admissible, is_complete, is_conflict_free, range_of,
+                        strongly_connected_components)
 from afkit.errors import UnknownArgumentError
-
-from conftest import as_tuples
 
 
 def small_af(draw_args=6):
@@ -139,3 +139,58 @@ class TestPredicates:
             assert is_admissible(af, members)
         if is_admissible(af, members):
             assert is_conflict_free(af, members)
+
+
+def digraphs(max_nodes=12):
+    """Successor lists over 0..n-1; self-loops, isolated nodes and repeated
+    edges all occur."""
+    return st.integers(0, max_nodes).flatmap(
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1),
+                                     st.integers(0, n - 1)),
+                           max_size=3 * n).map(
+            lambda edges: _successors(n, edges)) if n else st.just([]))
+
+
+def _successors(n, edges):
+    succ = [[] for _ in range(n)]
+    for u, v in edges:
+        succ[u].append(v)
+    return succ
+
+
+class TestStronglyConnectedComponents:
+    @settings(max_examples=300, deadline=None)
+    @given(succ=digraphs())
+    def test_same_partition_as_networkx(self, succ):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(len(succ)))
+        g.add_edges_from((u, v) for u, vs in enumerate(succ) for v in vs)
+        ours = strongly_connected_components(succ)
+        assert sorted(map(sorted, ours)) == \
+            sorted(map(sorted, nx.strongly_connected_components(g)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(succ=digraphs())
+    def test_reverse_topological_order(self, succ):
+        position = {}
+        for k, component in enumerate(strongly_connected_components(succ)):
+            for v in component:
+                position[v] = k
+        assert all(position[u] >= position[v]
+                   for u, vs in enumerate(succ) for v in vs)
+
+    def test_takes_framework_adjacency(self, example1):
+        comps = strongly_connected_components(example1.target_indices())
+        named = sorted(sorted(example1.args[i] for i in c) for c in comps)
+        assert named == [["a", "b"], ["c", "d", "e"], ["f"], ["g", "h"]]
+
+    def test_long_path_needs_no_recursion(self):
+        n = 10 ** 5
+        succ = [[i + 1] for i in range(n - 1)] + [[]]
+        assert len(strongly_connected_components(succ)) == n
+
+    def test_long_cycle_needs_no_recursion(self):
+        n = 10 ** 5
+        succ = [[(i + 1) % n] for i in range(n)]
+        comps = strongly_connected_components(succ)
+        assert len(comps) == 1 and sorted(comps[0]) == list(range(n))

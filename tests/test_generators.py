@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import networkx as nx
@@ -281,6 +282,33 @@ class TestDeterminism:
         cfg = ErdosRenyi(16, 0.3)
         assert write_apx(generate(cfg, SeededRng(1))) != \
             write_apx(generate(cfg, SeededRng(2)))
+
+
+class TestCycleEnrichmentPins:
+    # SHA-256 of the APX text, recorded when the SCC count came from
+    # networkx.  Each config makes cycle enrichment add 100-430 attacks, so
+    # any change to the draw order, the loop or its stop test shows here.
+    PINS = [
+        (WattsStrogatz(n=200, k=2, beta=0.1, prob_cycles=0.9), 1,
+         "8fcdc28e8b8b2704b9eeeec6352cecf87a1f7e87237edbfd77c277b8ec65a6d8"),
+        (WattsStrogatz(n=120, k=4, beta=0.3, prob_cycles=0.95), 2,
+         "6ad1a01d8c75a71349f9863b6de054af019dce20cb0e4465f8fd3bc7caa8a3a4"),
+        (WattsStrogatz(n=60, k=2, beta=0.0, prob_cycles=1.0), 3,
+         "a64cfe6e92cf49ba2e626d09fe5e4a0a9d8e02f11375bff8460bac2c8a435c4e"),
+        (BarabasiAlbert(n=200, prob_cycles=0.9), 4,
+         "3c137372b3b838cb36ad7745fb73239ec40dc2e6b1366a9e051f29b015c556a6"),
+        (BarabasiAlbert(n=150, prob_cycles=0.8), 5,
+         "1dea62b4f64958f245c0f7c65a022b0f4693f1e9dc2783072dbd889e3790742d"),
+        (BarabasiAlbert(n=50, prob_cycles=1.0), 6,
+         "e5e761ebaceeb45ce158b207d62abf3563ec3ffbe0f315b4d6f640a6833763e3"),
+    ]
+
+    @pytest.mark.parametrize("cfg,seed,digest", PINS,
+                             ids=[f"{type(c).__name__}-n{c.n}-seed{s}"
+                                  for c, s, _ in PINS])
+    def test_bytes_match_pin(self, cfg, seed, digest):
+        text = write_apx(generate(cfg, SeededRng(seed)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 class TestBatchAndPresets:
