@@ -71,6 +71,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 1
+    except OSError as exc:  # a missing or unreadable input file
+        print(f"afkit: {exc}", file=sys.stderr)
+        return 1
 
 
 # ---------------------------------------------------------------------------

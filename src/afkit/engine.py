@@ -19,13 +19,17 @@ moment its last input was labelled, and the leaf is reported without
 re-scanning the framework.  The grounded fixed point is computed first and
 frozen into every search.
 
-Preferred extensions are the set-maximal complete ones; semi-stable the
-range-maximal complete ones (always preferred); stable labellings are searched
-directly with UNDEC disabled; stage extensions are range-maximal among the
-maximal conflict-free sets, which are enumerated and filtered as bitmasks.
-The ideal extension is the largest admissible subset of the intersection of
-the preferred extensions, obtained by shrinking that intersection to a fixed
-point of the defense check.
+``_extensions`` is the one place where a semantics meets its algorithm.
+Grounded is the fixed point itself; stable labellings are searched with
+UNDEC disabled; stage extensions are the range-maximal maximal conflict-free
+sets, enumerated and filtered as bitmasks.  Complete extensions come from
+the labelling search and preferred are their set-maximal members; both
+semi-stable (the range-maximal preferred) and ideal (the intersection of the
+preferred, shrunk to a fixed point of the defense check) are derived from
+that one preferred list.  Only the decision shortcuts bypass it: DC-CO,
+DC-PR, DC-ST and DS-ST force the query's label into one search, and DS-CO
+is grounded membership.  ``dominated`` is the comparison search that
+``verify`` needs for PR, SST and STG.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -229,37 +233,34 @@ def _maximal_sets(sets: List[Extension]) -> List[Extension]:
             if not any(s is not o and s < o for o in sets)]
 
 
-def complete_extensions(af: ArgumentationFramework,
-                        budget: Optional[_Budget] = None) -> List[Extension]:
-    return _enumerate_labellings(af, budget or _Budget(None))
-
-
-def stable_extensions(af: ArgumentationFramework,
-                      budget: Optional[_Budget] = None) -> List[Extension]:
-    return _enumerate_labellings(af, budget or _Budget(None), allow_undec=False)
-
-
-def preferred_extensions(af: ArgumentationFramework,
-                         budget: Optional[_Budget] = None) -> List[Extension]:
-    return _maximal_sets(complete_extensions(af, budget))
-
-
-def semi_stable_extensions(af: ArgumentationFramework,
-                           budget: Optional[_Budget] = None) -> List[Extension]:
-    # Semi-stable extensions are preferred: growing a complete set strictly
-    # grows its range, so a range-maximal complete set is set-maximal too.
-    prefs = preferred_extensions(af, budget)
-    ranges = [range_of(af, p) for p in prefs]
-    return [p for p, r in zip(prefs, ranges)
-            if not any(r is not o and r < o for o in ranges)]
-
-
-def stage_extensions(af: ArgumentationFramework,
-                     budget: Optional[_Budget] = None) -> List[Extension]:
-    candidates = _maximal_conflict_free_masks(af, budget or _Budget(None))
-    ranges = [c | attacked_mask(af, c) for c in candidates]
-    widest = _maximal_masks(set(ranges))
-    return [af.set_of(c) for c, r in zip(candidates, ranges) if r in widest]
+def _extensions(sem: Semantics, af: ArgumentationFramework,
+                budget: _Budget) -> List[Extension]:
+    """The ``sem``-extensions of ``af``, unordered: the one place a
+    semantics is mapped to its algorithm."""
+    if sem == Semantics.GR:
+        return [grounded_extension(af)]
+    if sem == Semantics.ST:
+        return _enumerate_labellings(af, budget, allow_undec=False)
+    if sem == Semantics.STG:
+        candidates = _maximal_conflict_free_masks(af, budget)
+        ranges = [c | attacked_mask(af, c) for c in candidates]
+        widest = _maximal_masks(set(ranges))
+        return [af.set_of(c) for c, r in zip(candidates, ranges)
+                if r in widest]
+    complete = _enumerate_labellings(af, budget)
+    if sem == Semantics.CO:
+        return complete
+    preferred = _maximal_sets(complete)
+    if sem == Semantics.PR:
+        return preferred
+    if sem == Semantics.SST:
+        # Semi-stable extensions are preferred: growing a complete set
+        # strictly grows its range, so a range-maximal complete set is
+        # set-maximal too.
+        ranges = [range_of(af, p) for p in preferred]
+        return [p for p, r in zip(preferred, ranges)
+                if not any(r is not o and r < o for o in ranges)]
+    return [_ideal(af, preferred)]
 
 
 def _maximal_masks(masks: Set[int]) -> Set[int]:
@@ -330,10 +331,9 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
     return out
 
 
-def ideal_extension(af: ArgumentationFramework,
-                    budget: Optional[_Budget] = None) -> Extension:
-    prefs = preferred_extensions(af, budget)
-    base = set.intersection(*(af.member_indices(p) for p in prefs))
+def _ideal(af: ArgumentationFramework,
+           preferred: List[Extension]) -> Extension:
+    base = set.intersection(*(af.member_indices(p) for p in preferred))
     attackers, targets = af.attacker_indices(), af.target_indices()
     # The intersection of the preferred extensions is conflict-free, and its
     # admissible subsets are closed under union, so shrinking to the defended
@@ -348,33 +348,11 @@ def ideal_extension(af: ArgumentationFramework,
         base = kept
 
 
-def _exists_labelling(af: ArgumentationFramework, budget: _Budget,
-                      forced: Iterable[Tuple[str, int]],
-                      allow_undec: bool) -> bool:
-    return bool(_enumerate_labellings(af, budget, forced, allow_undec,
-                                      stop_after=1))
-
-
 def enumerate_extensions(sem: Semantics, af: ArgumentationFramework,
                          budget: Optional[int] = None) -> Tuple[Extension, ...]:
     """All extensions of ``af`` under ``sem``, canonically ordered."""
-    b = _Budget(budget)
-    sem = Semantics(sem)
-    if sem == Semantics.CO:
-        found = complete_extensions(af, b)
-    elif sem == Semantics.PR:
-        found = preferred_extensions(af, b)
-    elif sem == Semantics.ST:
-        found = stable_extensions(af, b)
-    elif sem == Semantics.SST:
-        found = semi_stable_extensions(af, b)
-    elif sem == Semantics.STG:
-        found = stage_extensions(af, b)
-    elif sem == Semantics.GR:
-        found = [grounded_extension(af)]
-    else:
-        found = [ideal_extension(af, b)]
-    return canonical_extensions(found)
+    return canonical_extensions(_extensions(Semantics(sem), af,
+                                            _Budget(budget)))
 
 
 def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
@@ -384,61 +362,37 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     Same answer contract as the enumeration-backed reference solver; raises
     BudgetExceededError when the optional node budget runs out.
     """
-    b = _Budget(budget)
     if task.problem == "D3":
         return d3(af, budget)
-    sem = task.semantics
-    if task.query is not None:
-        af.index_of(task.query)
+    b = _Budget(budget)
+    sem, query = task.semantics, task.query
+    if query is not None:
+        af.index_of(query)
 
     if task.problem == "DC":
-        return YesNo(_credulous(af, sem, task.query, b))
+        if sem in (Semantics.CO, Semantics.PR, Semantics.ST):
+            # Credulous acceptance under PR coincides with CO: any admissible
+            # set extends to a preferred, hence complete, one.
+            return YesNo(bool(_enumerate_labellings(
+                af, b, [(query, IN)], allow_undec=sem != Semantics.ST,
+                stop_after=1)))
+        return YesNo(any(query in e for e in _extensions(sem, af, b)))
     if task.problem == "DS":
-        return YesNo(_skeptical(af, sem, task.query, b))
+        if sem == Semantics.CO:
+            # Skeptical acceptance under CO coincides with membership in the
+            # grounded extension, the least complete one.
+            return YesNo(query in grounded_extension(af))
+        if sem == Semantics.ST:
+            # Vacuously yes when no stable extension exists.
+            return YesNo(not _enumerate_labellings(
+                af, b, [(query, OUT)], allow_undec=False, stop_after=1))
+        return YesNo(all(query in e for e in _extensions(sem, af, b)))
     if task.problem == "SE":
-        if sem == Semantics.GR:
-            return OneExtension(grounded_extension(af))
-        if sem == Semantics.ID:
-            return OneExtension(ideal_extension(af, b))
-        extensions = enumerate_extensions(sem, af, budget)
+        extensions = _extensions(sem, af, b)
         if not extensions:
             return OneExtension(None)
         return OneExtension(min(extensions, key=sorted_members))
-    # EE
-    return AllExtensions(enumerate_extensions(sem, af, budget))
-
-
-def _credulous(af: ArgumentationFramework, sem: Semantics, query: str,
-               b: _Budget) -> bool:
-    if sem in (Semantics.CO, Semantics.PR):
-        # Credulous acceptance under PR coincides with CO: any admissible set
-        # extends to a preferred, hence complete, one.
-        return _exists_labelling(af, b, [(query, IN)], allow_undec=True)
-    if sem == Semantics.ST:
-        return _exists_labelling(af, b, [(query, IN)], allow_undec=False)
-    if sem == Semantics.GR:
-        return query in grounded_extension(af)
-    if sem == Semantics.ID:
-        return query in ideal_extension(af, b)
-    if sem == Semantics.SST:
-        return any(query in e for e in semi_stable_extensions(af, b))
-    return any(query in e for e in stage_extensions(af, b))
-
-
-def _skeptical(af: ArgumentationFramework, sem: Semantics, query: str,
-               b: _Budget) -> bool:
-    if sem == Semantics.CO:
-        # Skeptical acceptance under CO coincides with membership in the
-        # grounded extension, the least complete one.
-        return query in grounded_extension(af)
-    if sem == Semantics.ST:
-        # Vacuously yes when no stable extension exists.
-        return not _exists_labelling(af, b, [(query, OUT)], allow_undec=False)
-    if sem == Semantics.PR:
-        return all(query in e for e in preferred_extensions(af, b))
-    if sem == Semantics.SST:
-        return all(query in e for e in semi_stable_extensions(af, b))
-    return all(query in e for e in stage_extensions(af, b))
+    return AllExtensions.of(_extensions(sem, af, b))
 
 
 def d3(af: ArgumentationFramework, budget: Optional[int] = None) -> Triathlon:
@@ -448,11 +402,47 @@ def d3(af: ArgumentationFramework, budget: Optional[int] = None) -> Triathlon:
     enumerations, so it is effectively computed once.
     """
     b = _Budget(budget)
-    return Triathlon.of([grounded_extension(af)],
-                        stable_extensions(af, b),
-                        preferred_extensions(af, b))
+    return Triathlon.of(_extensions(Semantics.GR, af, b),
+                        _extensions(Semantics.ST, af, b),
+                        _extensions(Semantics.PR, af, b))
 
 
-__all__ = ["complete_extensions", "stable_extensions", "preferred_extensions",
-           "semi_stable_extensions", "stage_extensions", "ideal_extension",
-           "enumerate_extensions", "solve_optimized", "d3"]
+def dominated(sem: Semantics, af: ArgumentationFramework,
+              s: Extension) -> bool:
+    """Whether some candidate strictly beats the set ``s`` under ``sem``:
+    for PR a complete extension strictly containing ``s``, for SST a
+    complete extension with a strictly wider range, and for STG a maximal conflict-free set with a
+    strictly wider range.  ``s`` is taken to be complete (PR, SST) or
+    conflict-free (STG).  The search is not budgeted.
+    """
+    sem, budget = Semantics(sem), _Budget(None)
+    if sem == Semantics.PR:
+        # Every complete extension holding ``s`` other than ``s`` itself
+        # strictly contains it, so the search stops at the first such one.
+        found: List[Extension] = []
+
+        def sink(ext: Extension) -> bool:
+            if ext == s:
+                return True
+            found.append(ext)
+            return False
+
+        _LabellingSearch(af, budget).run(
+            sink, [(af.index_of(a), IN) for a in sorted(s)])
+        return bool(found)
+    if sem == Semantics.SST:
+        r = range_of(af, s)
+        return any(range_of(af, c) > r
+                   for c in _enumerate_labellings(af, budget))
+    if sem == Semantics.STG:
+        # Ranges of conflict-free sets are dominated by ranges of maximal
+        # ones.
+        r = af.mask_of(s)
+        r |= attacked_mask(af, r)
+        ranges = (c | attacked_mask(af, c)
+                  for c in _maximal_conflict_free_masks(af, budget))
+        return any(rc != r and rc & r == r for rc in ranges)
+    raise ValueError(f"no dominance check for {sem}")
+
+
+__all__ = ["enumerate_extensions", "solve_optimized", "d3", "dominated"]

@@ -413,11 +413,11 @@ def gen_barabasi(cfg: BarabasiAlbert, rng: SeededRng) -> ArgumentationFramework:
     grow = rng.split("grow")
     degree = [0] * n
     edges: Set[Tuple[int, int]] = set()
+    total = 1  # sum(degree[u] + 1 for u in range(v)), kept as a running sum
     for v in range(1, n):
         wanted = min(BARABASI_ATTACHMENTS, v)
         chosen: Set[int] = set()
         while len(chosen) < wanted:
-            total = sum(degree[u] + 1 for u in range(v))
             pick = grow.randbelow(total)
             acc = 0
             for u in range(v):
@@ -429,6 +429,8 @@ def gen_barabasi(cfg: BarabasiAlbert, rng: SeededRng) -> ArgumentationFramework:
             edges.add((u, v))
             degree[u] += 1
             degree[v] += 1
+        # Each chosen edge adds one to both ends; vertex v joins with its own +1.
+        total += 1 + 2 * len(chosen)
     orient = rng.split("orient")
     attacks: Set[Tuple[int, int]] = set()
     for u, v in sorted(edges):

@@ -8,6 +8,8 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
 
+from ..errors import FormatError
+
 CORRECT, INCORRECT, ZERO = "correct", "incorrect", "zero"
 # Points per verdict; judging, records and scoring all read this table.
 POINTS = {CORRECT: 1, INCORRECT: -5, ZERO: 0}
@@ -60,7 +62,12 @@ def append_record(path, record: JobRecord) -> None:
 
 def read_records(path) -> Iterator[JobRecord]:
     text = Path(path).read_text(encoding="utf-8")
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if line:
-            yield JobRecord.from_json(line)
+            try:
+                record = JobRecord.from_json(line)
+            except (TypeError, ValueError) as exc:
+                raise FormatError(f"{path}: not a job record: {exc}",
+                                  line=number) from None
+            yield record

@@ -351,6 +351,28 @@ def _judge_records(records, instance_paths, ref_budget) -> None:
 # ---------------------------------------------------------------------------
 # report
 
+def _read_counts(path) -> list:
+    """The rows of a solver,correct,wrong[,time] CSV as SolverCounts; a
+    missing or non-numeric cell is an AfkitError naming its line."""
+    counts = []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(fh)
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            missing = [c for c in ("solver", "correct", "wrong")
+                       if row.get(c) is None]
+            if missing:
+                raise AfkitError(f"{where}: no {', '.join(missing)} value")
+            try:
+                counts.append(SolverCounts(solver=row["solver"],
+                                           correct=int(row["correct"]),
+                                           wrong=int(row["wrong"]),
+                                           time=float(row.get("time", 0))))
+            except (TypeError, ValueError) as exc:
+                raise AfkitError(f"{where}: {exc}") from None
+    return counts
+
+
 def _cmd_report(argv) -> int:
     p = argparse.ArgumentParser(prog="afkit report")
     p.add_argument("--log", help="JSONL job log from 'afkit run'")
@@ -363,13 +385,7 @@ def _cmd_report(argv) -> int:
         records = list(read_records(opts.log))
         rows = emit_report(records, out, tasks=opts.tasks)
     elif opts.counts:
-        counts = []
-        with open(opts.counts, newline="", encoding="utf-8") as fh:
-            for row in csv.DictReader(fh):
-                counts.append(SolverCounts(solver=row["solver"],
-                                           correct=int(row["correct"]),
-                                           wrong=int(row["wrong"]),
-                                           time=float(row.get("time", 0))))
+        counts = _read_counts(opts.counts)
         if not counts:
             raise AfkitError(f"{opts.counts}: no solver rows")
         rows = emit_counts_report(counts, out)

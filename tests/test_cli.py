@@ -286,6 +286,48 @@ class TestPipeline:
         assert err.startswith("afkit: ") and "no solver rows" in err
 
 
+class TestOutsideInputErrors:
+    """Bad files from outside end in ``afkit: …`` and exit 1, never in a
+    traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-p", "EE-PR", "-fo", "apx", "-f", "{missing}"],
+        ["run", "--roster", "{missing}", "--instances", "{tmp}",
+         "--out", "{tmp}/log.jsonl"],
+        ["report", "--counts", "{missing}", "--out-dir", "{tmp}/rep"],
+        ["report", "--log", "{missing}", "--out-dir", "{tmp}/rep"],
+    ], ids=["instance", "roster", "counts", "log"])
+    def test_missing_file(self, capsys, tmp_path, argv):
+        missing = str(tmp_path / "nowhere.txt")
+        argv = [a.format(missing=missing, tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("afkit: ") and "nowhere.txt" in err
+
+    @pytest.mark.parametrize("text", [
+        "solver,correct,time\npyglaf,3,1.5\n",
+        "solver,correct,wrong,time\npyglaf,3,x,1.5\n",
+        "solver,correct,wrong,time\npyglaf,3,0,\n",
+    ], ids=["missing-column", "not-a-number", "empty-time"])
+    def test_bad_counts_row_names_its_line(self, capsys, tmp_path, text):
+        counts = tmp_path / "counts.csv"
+        counts.write_text(text)
+        code, out, err = run_cli(capsys, "report", "--counts", str(counts),
+                                 "--out-dir", str(tmp_path / "rep"))
+        assert code == 1 and out == ""
+        assert err.startswith("afkit: ") and "line 2" in err
+
+    def test_log_line_that_is_not_json_names_its_line(self, capsys, tmp_path):
+        from afkit.harness.records import JobRecord
+        log = tmp_path / "jobs.jsonl"
+        good = JobRecord("s", "SE-GR", "i1", verdict="correct").to_json()
+        log.write_text(good + "\n{not json\n")
+        code, out, err = run_cli(capsys, "report", "--log", str(log),
+                                 "--out-dir", str(tmp_path / "rep"))
+        assert code == 1 and out == ""
+        assert err.startswith("afkit: line 2: ")
+
+
 class TestEnvironmentOverrides:
     def test_env_limits_and_jobs(self, capsys, tmp_path, monkeypatch):
         out_dir = tmp_path / "inst"

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from afkit import engine, oracle
@@ -149,3 +152,60 @@ def test_engine_matches_oracle_on_dense_and_sparse_extremes():
         for sem in Semantics:
             assert as_tuples(engine.enumerate_extensions(sem, af)) == \
                 as_tuples(oracle.oracle_enumerate(sem, af))
+
+
+# ---------------------------------------------------------------------------
+# The engine's private names stay inside engine.py
+
+SRC = Path(engine.__file__).parent
+
+
+def _private_engine_uses(text, package):
+    """Dotted names ``afkit.engine._…`` that module source ``text`` in
+    ``package`` (a list such as ``["afkit", "harness"]``) imports or reads
+    through an attribute."""
+    tree = ast.parse(text)
+    bound = {}  # local name -> the dotted name it stands for
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                local = a.asname or a.name.partition(".")[0]
+                bound[local] = a.name if a.asname else local
+        elif isinstance(node, ast.ImportFrom):
+            base = package[:len(package) - node.level + 1] if node.level else []
+            module = base + (node.module.split(".") if node.module else [])
+            for a in node.names:
+                bound[a.asname or a.name] = ".".join(module + [a.name])
+    uses = set(bound.values())
+    for node in ast.walk(tree):
+        attrs = []
+        while isinstance(node, ast.Attribute):
+            attrs.append(node.attr)
+            node = node.value
+        if attrs and isinstance(node, ast.Name) and node.id in bound:
+            uses.add(".".join([bound[node.id]] + attrs[::-1]))
+    return sorted(u for u in uses if u.startswith("afkit.engine._"))
+
+
+def test_private_engine_use_is_detected():
+    assert _private_engine_uses(
+        "from . import engine\nengine._Budget(None)\n", ["afkit"]) == \
+        ["afkit.engine._Budget"]
+    assert _private_engine_uses(
+        "from ..engine import _LabellingSearch, d3\n", ["afkit", "harness"]) \
+        == ["afkit.engine._LabellingSearch"]
+    assert _private_engine_uses(
+        "import afkit.engine as e\ne.dominated\ne._extensions\n", ["afkit"]) \
+        == ["afkit.engine._extensions"]
+
+
+def test_no_module_but_the_engine_uses_its_private_names():
+    offenders = {}
+    for path in sorted(SRC.rglob("*.py")):
+        if path == SRC / "engine.py":
+            continue
+        package = ["afkit", *path.parent.relative_to(SRC).parts]
+        uses = _private_engine_uses(path.read_text(encoding="utf-8"), package)
+        if uses:
+            offenders[str(path.relative_to(SRC))] = uses
+    assert offenders == {}

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
 from afkit.core import ArgumentationFramework
 from afkit.errors import UnknownArgumentError
@@ -9,6 +10,9 @@ from afkit.rng import SeededRng
 from afkit.generators import ErdosRenyi, gen_erdos
 from afkit.tasks import Semantics
 from afkit.verify import verify
+
+from test_engine_properties import structured_afs
+from test_engine_tree import _hand_built
 
 
 def test_incomplete_because_it_defends_more(example1):
@@ -40,18 +44,41 @@ def test_example1_all_semantics_all_small_sets(example1):
                     (frozenset(combo) in truth), (sem, combo)
 
 
+def _subsets(af):
+    return [frozenset(c) for r in range(len(af) + 1)
+            for c in itertools.combinations(af.args, r)]
+
+
+def _membership_agrees(af, candidates):
+    for sem in Semantics:
+        truth = set(oracle_enumerate(sem, af))
+        for s in candidates:
+            assert verify(sem, af, s) == (s in truth), (sem, sorted(s))
+
+
 def test_verify_matches_oracle_membership_on_random_frameworks():
     rng = SeededRng(17)
     for i in range(25):
         sub = rng.split(f"af{i}")
         af = gen_erdos(ErdosRenyi(n=sub.randint(1, 6), prob_attacks=0.4), sub)
-        names = list(af.args)
-        subsets = [frozenset(c) for r in range(len(names) + 1)
-                   for c in itertools.combinations(names, r)]
-        for sem in Semantics:
-            truth = set(oracle_enumerate(sem, af))
-            for s in subsets:
-                assert verify(sem, af, s) == (s in truth), (sem, sorted(s))
+        _membership_agrees(af, _subsets(af))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(structured_afs(max_args=8))
+def test_verify_matches_oracle_membership_on_structured_frameworks(af):
+    # Self-attackers, odd cycles and chains of SCCs, every subset.
+    _membership_agrees(af, _subsets(af))
+
+
+@pytest.mark.parametrize("name", sorted(_hand_built()))
+def test_verify_matches_oracle_membership_on_hand_built_frameworks(name):
+    # Every extension of any semantics, and each one with one argument
+    # added or taken away.
+    af = _hand_built()[name]
+    extensions = {e for sem in Semantics for e in oracle_enumerate(sem, af)}
+    _membership_agrees(af, extensions | {e ^ {a} for e in extensions
+                                         for a in af.args})
 
 
 def test_grounded_verifies_for_exactly_one_set():
