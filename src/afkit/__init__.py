@@ -9,7 +9,7 @@ generators (``generators``), and a solver-competition harness (``harness``).
 
 from .core import (ArgumentationFramework, defends, grounded_extension,
                    is_admissible, is_complete, is_conflict_free, range_of)
-from .engine import d3, enumerate_extensions, solve_optimized
+from .engine import enumerate_extensions, solve_optimized
 from .oracle import oracle_enumerate, solve
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, all_task_names, parse_task)
@@ -22,6 +22,6 @@ __all__ = [
     "OneExtension", "AllExtensions", "Triathlon",
     "is_conflict_free", "is_admissible", "is_complete", "defends", "range_of",
     "grounded_extension", "oracle_enumerate", "solve", "solve_optimized",
-    "enumerate_extensions", "d3", "verify", "parse_task", "all_task_names",
+    "enumerate_extensions", "verify", "parse_task", "all_task_names",
     "__version__",
 ]

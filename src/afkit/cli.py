@@ -22,7 +22,6 @@ imported only when one of them is named.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from . import engine, oracle
@@ -32,29 +31,6 @@ from .solutions import write_solution
 from .tasks import all_task_names, parse_task
 
 SUBCOMMANDS = ("oracle", "generate", "classify", "select", "run", "report")
-
-# Environment overrides for harness defaults; explicit flags still win.
-ENV_TIMEOUT = "AFKIT_TIMEOUT"
-ENV_MEMORY = "AFKIT_MEMORY_BYTES"
-ENV_JOBS = "AFKIT_JOBS"
-
-
-def _env_number(name, cast):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"afkit: ignoring bad {name}={raw!r}", file=sys.stderr)
-        return None
-
-
-def _resolve_jobs(flag_value):
-    if flag_value is not None:
-        return flag_value
-    return _env_number(ENV_JOBS, int) or 1
-
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)

@@ -19,6 +19,11 @@ moment its last input was labelled, and the leaf is reported without
 re-scanning the framework.  The grounded fixed point is computed first and
 frozen into every search.
 
+Both searches, the labelling search and the maximal conflict-free search,
+are generators: they yield each answer as they reach it, and the consumer
+decides when to stop by how much it draws.  Enumeration draws everything,
+a decision draws at most one answer.
+
 ``_extensions`` is the one place where a semantics meets its algorithm.
 Grounded is the fixed point itself; stable labellings are searched with
 UNDEC disabled; stage extensions are the range-maximal maximal conflict-free
@@ -26,10 +31,12 @@ sets, enumerated and filtered as bitmasks.  Complete extensions come from
 the labelling search and preferred are their set-maximal members; both
 semi-stable (the range-maximal preferred) and ideal (the intersection of the
 preferred, shrunk to a fixed point of the defense check) are derived from
-that one preferred list.  Only the decision shortcuts bypass it: DC-CO,
-DC-PR, DC-ST and DS-ST force the query's label into one search, and DS-CO
-is grounded membership.  ``dominated`` is the comparison search that
-``verify`` needs for PR, SST and STG.
+that one preferred list.  D3 is grounded, stable and preferred under one
+budget.  Only the decision shortcuts bypass it: DC-CO, DC-PR, DC-ST and
+DS-ST draw at most one answer from a search with the query's label forced,
+and DS-CO is grounded membership.  ``dominated`` is the comparison that
+``verify`` needs for PR, SST and STG; it stops at the first candidate that
+beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -38,7 +45,7 @@ canonical tie-break for SE (lexicographically least sorted member list).
 from __future__ import annotations
 
 from itertools import compress
-from typing import Callable, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (ArgumentationFramework, attacked_mask, bits,
                    grounded_extension, range_of)
@@ -171,15 +178,16 @@ class _LabellingSearch:
     def in_set(self) -> Extension:
         return frozenset(compress(self.af.args, map(IN.__eq__, self.lab)))
 
-    def run(self, on_solution: Callable[[Extension], bool],
-            forced: Iterable[Tuple[int, int]] = (),
-            allow_undec: bool = True) -> None:
-        """Enumerate labellings; ``on_solution`` returns False to stop early.
+    def solutions(self, forced: Iterable[Tuple[int, int]] = (),
+                  allow_undec: bool = True) -> Iterator[Extension]:
+        """Yield the IN set of each labelling, in search order.
 
         The grounded labelling is installed first: its IN set is part of every
         complete labelling, so conflicts with ``forced`` prune immediately.
         Every leaf is a labelling: ``assign`` keeps the labelling conditions
-        as an invariant, so a leaf needs no second check.
+        as an invariant, so a leaf needs no second check.  While suspended at
+        a yield, ``lab`` holds the leaf's labelling; the consumer ends the
+        search by drawing no further.
         """
         seed = [(self.af.index_of(a), IN) for a in grounded_extension(self.af)]
         if not self.assign(list(forced) + seed):
@@ -187,7 +195,7 @@ class _LabellingSearch:
         labels = (IN, OUT, UNDEC) if allow_undec else (IN, OUT)
         first = self._first_free(0)
         if first < 0:
-            on_solution(self.in_set())
+            yield self.in_set()
             return
         assign, undo_to, first_free = self.assign, self.undo_to, self._first_free
         tick, trail, n_labels = self.budget.tick, self.trail, len(labels)
@@ -206,26 +214,19 @@ class _LabellingSearch:
                 continue
             nxt = first_free(var + 1)
             if nxt < 0:
-                if not on_solution(self.in_set()):
-                    return
+                yield self.in_set()
                 continue
             frames.append([nxt, 0, len(trail)])
 
 
-def _enumerate_labellings(af: ArgumentationFramework, budget: _Budget,
-                          forced: Iterable[Tuple[str, int]] = (),
-                          allow_undec: bool = True,
-                          stop_after: Optional[int] = None) -> List[Extension]:
-    found: List[Extension] = []
-
-    def collect(ext: Extension) -> bool:
-        found.append(ext)
-        return stop_after is None or len(found) < stop_after
-
-    search = _LabellingSearch(af, budget)
-    idx_forced = [(af.index_of(a), l) for a, l in forced]
-    search.run(collect, idx_forced, allow_undec)
-    return found
+def _labellings(af: ArgumentationFramework, budget: _Budget,
+                forced: Iterable[Tuple[str, int]] = (),
+                allow_undec: bool = True) -> Iterator[Extension]:
+    """The IN sets of the complete (stable unless ``allow_undec``)
+    labellings of ``af`` that give each named argument its ``forced``
+    label, searched lazily."""
+    return _LabellingSearch(af, budget).solutions(
+        [(af.index_of(a), label) for a, label in forced], allow_undec)
 
 
 def _maximal_sets(sets: List[Extension]) -> List[Extension]:
@@ -240,14 +241,14 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     if sem == Semantics.GR:
         return [grounded_extension(af)]
     if sem == Semantics.ST:
-        return _enumerate_labellings(af, budget, allow_undec=False)
+        return list(_labellings(af, budget, allow_undec=False))
     if sem == Semantics.STG:
-        candidates = _maximal_conflict_free_masks(af, budget)
+        candidates = list(_maximal_conflict_free_masks(af, budget))
         ranges = [c | attacked_mask(af, c) for c in candidates]
         widest = _maximal_masks(set(ranges))
         return [af.set_of(c) for c, r in zip(candidates, ranges)
                 if r in widest]
-    complete = _enumerate_labellings(af, budget)
+    complete = list(_labellings(af, budget))
     if sem == Semantics.CO:
         return complete
     preferred = _maximal_sets(complete)
@@ -289,10 +290,10 @@ def _maximal_masks(masks: Set[int]) -> Set[int]:
 
 
 def _maximal_conflict_free_masks(af: ArgumentationFramework,
-                                 budget: _Budget) -> List[int]:
-    """Maximal conflict-free sets, as masks: maximal independent sets of the
-    conflict graph over the non-self-attacking arguments (Bron-Kerbosch with
-    pivoting on the implicit complement graph)."""
+                                 budget: _Budget) -> Iterator[int]:
+    """Yield the maximal conflict-free sets, as masks: maximal independent
+    sets of the conflict graph over the non-self-attacking arguments
+    (Bron-Kerbosch with pivoting on the implicit complement graph)."""
     n = len(af)
     am = af.attacker_masks()
     tm = af.target_masks()
@@ -305,13 +306,12 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
         conflict[i] = (am[i] | tm[i]) & universe & ~(1 << i)
     full = (1 << n) - 1
 
-    out: List[int] = []
     stack = [(0, universe, 0)]
     while stack:
         r, p, x = stack.pop()
         budget.tick()
         if p == 0 and x == 0:
-            out.append(r)
+            yield r
             continue
         # The pivot leaves the most of P unexpanded: it is the first
         # argument, in index order, with the fewest conflicts inside P.  No
@@ -328,7 +328,6 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
             stack.append((r | (1 << v), p & nv, x & nv))
             p &= ~(1 << v)
             x |= 1 << v
-    return out
 
 
 def _ideal(af: ArgumentationFramework,
@@ -360,11 +359,14 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     """Solve any catalog task with the search engine.
 
     Same answer contract as the enumeration-backed reference solver; raises
-    BudgetExceededError when the optional node budget runs out.
+    BudgetExceededError when the optional node budget runs out.  For D3 the
+    one budget spans the grounded, stable and preferred enumerations.
     """
-    if task.problem == "D3":
-        return d3(af, budget)
     b = _Budget(budget)
+    if task.problem == "D3":
+        return Triathlon.of(_extensions(Semantics.GR, af, b),
+                            _extensions(Semantics.ST, af, b),
+                            _extensions(Semantics.PR, af, b))
     sem, query = task.semantics, task.query
     if query is not None:
         af.index_of(query)
@@ -373,9 +375,9 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
         if sem in (Semantics.CO, Semantics.PR, Semantics.ST):
             # Credulous acceptance under PR coincides with CO: any admissible
             # set extends to a preferred, hence complete, one.
-            return YesNo(bool(_enumerate_labellings(
-                af, b, [(query, IN)], allow_undec=sem != Semantics.ST,
-                stop_after=1)))
+            found = _labellings(af, b, [(query, IN)],
+                                allow_undec=sem != Semantics.ST)
+            return YesNo(next(found, None) is not None)
         return YesNo(any(query in e for e in _extensions(sem, af, b)))
     if task.problem == "DS":
         if sem == Semantics.CO:
@@ -384,8 +386,8 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
             return YesNo(query in grounded_extension(af))
         if sem == Semantics.ST:
             # Vacuously yes when no stable extension exists.
-            return YesNo(not _enumerate_labellings(
-                af, b, [(query, OUT)], allow_undec=False, stop_after=1))
+            found = _labellings(af, b, [(query, OUT)], allow_undec=False)
+            return YesNo(next(found, None) is None)
         return YesNo(all(query in e for e in _extensions(sem, af, b)))
     if task.problem == "SE":
         extensions = _extensions(sem, af, b)
@@ -395,45 +397,24 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     return AllExtensions.of(_extensions(sem, af, b))
 
 
-def d3(af: ArgumentationFramework, budget: Optional[int] = None) -> Triathlon:
-    """Grounded, stable, and preferred enumerations of one framework.
-
-    The grounded extension doubles as the search seed for the other two
-    enumerations, so it is effectively computed once.
-    """
-    b = _Budget(budget)
-    return Triathlon.of(_extensions(Semantics.GR, af, b),
-                        _extensions(Semantics.ST, af, b),
-                        _extensions(Semantics.PR, af, b))
-
-
 def dominated(sem: Semantics, af: ArgumentationFramework,
               s: Extension) -> bool:
     """Whether some candidate strictly beats the set ``s`` under ``sem``:
     for PR a complete extension strictly containing ``s``, for SST a
-    complete extension with a strictly wider range, and for STG a maximal conflict-free set with a
-    strictly wider range.  ``s`` is taken to be complete (PR, SST) or
-    conflict-free (STG).  The search is not budgeted.
+    complete extension with a strictly wider range, and for STG a maximal
+    conflict-free set with a strictly wider range.  ``s`` is taken to be
+    complete (PR, SST) or conflict-free (STG).  The search stops at the
+    first such witness; it is not budgeted.
     """
     sem, budget = Semantics(sem), _Budget(None)
     if sem == Semantics.PR:
         # Every complete extension holding ``s`` other than ``s`` itself
-        # strictly contains it, so the search stops at the first such one.
-        found: List[Extension] = []
-
-        def sink(ext: Extension) -> bool:
-            if ext == s:
-                return True
-            found.append(ext)
-            return False
-
-        _LabellingSearch(af, budget).run(
-            sink, [(af.index_of(a), IN) for a in sorted(s)])
-        return bool(found)
+        # strictly contains it.
+        return any(c != s for c in _labellings(
+            af, budget, [(a, IN) for a in sorted(s)]))
     if sem == Semantics.SST:
         r = range_of(af, s)
-        return any(range_of(af, c) > r
-                   for c in _enumerate_labellings(af, budget))
+        return any(range_of(af, c) > r for c in _labellings(af, budget))
     if sem == Semantics.STG:
         # Ranges of conflict-free sets are dominated by ranges of maximal
         # ones.
@@ -445,4 +426,4 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
     raise ValueError(f"no dominance check for {sem}")
 
 
-__all__ = ["enumerate_extensions", "solve_optimized", "d3", "dominated"]
+__all__ = ["enumerate_extensions", "solve_optimized", "dominated"]

@@ -1,4 +1,5 @@
-"""Job records and their line-delimited JSON log."""
+"""Job records, their line-delimited JSON log, and the JSON files the
+harness reads."""
 
 from __future__ import annotations
 
@@ -50,6 +51,15 @@ class JobRecord:
     @staticmethod
     def from_json(line: str) -> "JobRecord":
         return JobRecord(**json.loads(line))
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a file that is not JSON is
+    a FormatError naming it."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise FormatError(f"{path}: not JSON: {exc}") from None
 
 
 def append_record(path, record: JobRecord) -> None:

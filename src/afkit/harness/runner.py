@@ -9,7 +9,6 @@ parent kills the group at the wall-time limit.
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import signal
@@ -17,11 +16,11 @@ import subprocess
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
 
+from ..errors import FormatError
 from .limits import ResourceLimits
-from .records import JobRecord, append_record
+from .records import JobRecord, append_record, read_json
 
 
 @dataclass(frozen=True)
@@ -50,9 +49,16 @@ class SolverSpec:
 
 
 def load_roster(path) -> List[SolverSpec]:
-    """Read a roster file: a JSON list of solver descriptors."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return [SolverSpec.from_dict(d) for d in data]
+    """Read a roster file: a JSON list of solver descriptors.  A file that
+    is not one is a FormatError naming it."""
+    try:
+        return [SolverSpec.from_dict(d) for d in read_json(path)]
+    except KeyError as exc:
+        raise FormatError(f"{path}: a solver descriptor has no {exc} key") \
+            from None
+    except TypeError as exc:
+        raise FormatError(f"{path}: not a list of solver descriptors: {exc}") \
+            from None
 
 
 def _limited_argv(argv: List[str], memory_bytes: int) -> List[str]:

@@ -29,19 +29,13 @@ def _fmt_extension(ext) -> str:
     return "[" + ",".join(sorted_members(ext)) + "]"
 
 
-def _fmt_enumeration(extensions, line_per_extension: bool) -> str:
+def _fmt_enumeration(extensions) -> str:
     parts = [_fmt_extension(e) for e in canonical_extensions(extensions)]
-    sep = ",\n" if line_per_extension else ","
-    return "[" + sep.join(parts) + "]"
+    return "[" + ",".join(parts) + "]"
 
 
-def write_solution(task: TaskSpec, answer: Answer,
-                   line_per_extension: bool = False) -> str:
-    """Render an answer in the competition output format.
-
-    ``line_per_extension`` opts in to one extension per line inside
-    enumerations; the default single-line form matches the required format.
-    """
+def write_solution(task: TaskSpec, answer: Answer) -> str:
+    """Render an answer in the competition output format."""
     if not answer_matches_task(task, answer):
         raise FormatError(f"answer shape {type(answer).__name__} does not fit "
                           f"task {task.name()}")
@@ -52,8 +46,8 @@ def write_solution(task: TaskSpec, answer: Answer,
             return "NO"
         return _fmt_extension(answer.extension)
     if isinstance(answer, AllExtensions):
-        return _fmt_enumeration(answer.extensions, line_per_extension)
-    return "\n".join(_fmt_enumeration(e, line_per_extension)
+        return _fmt_enumeration(answer.extensions)
+    return "\n".join(_fmt_enumeration(e)
                      for e in (answer.grounded, answer.stable, answer.preferred))
 
 

@@ -11,11 +11,11 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
 
-from .cli import ENV_MEMORY, ENV_TIMEOUT, _env_number, _resolve_jobs
 from .errors import AfkitError
 from .formats import FORMATS, load_framework, write_framework
 from .generators import (PRESET_DOMAINS, Traffic, generate, parse_batch_file,
@@ -26,11 +26,35 @@ from .harness import (GROUPS, HardnessCategory, ReferenceBundle, RefRun,
                       classify_hardness, emit_counts_report, emit_report,
                       load_roster, read_records, select_by_quota,
                       verify_cascade)
+from .harness.records import read_json
 from .harness.runner import JobSpec, run_jobs
 from .harness.scoring import SolverCounts
 from .rng import SeededRng
 from .solutions import parse_solution
 from .tasks import all_task_names, parse_task
+
+
+# Environment overrides for harness defaults; explicit flags still win.
+ENV_TIMEOUT = "AFKIT_TIMEOUT"
+ENV_MEMORY = "AFKIT_MEMORY_BYTES"
+ENV_JOBS = "AFKIT_JOBS"
+
+
+def _env_number(name, cast):
+    raw = os.environ.get(name)
+    if raw is None:
+        return None
+    try:
+        return cast(raw)
+    except ValueError:
+        print(f"afkit: ignoring bad {name}={raw!r}", file=sys.stderr)
+        return None
+
+
+def _resolve_jobs(flag_value):
+    if flag_value is not None:
+        return flag_value
+    return _env_number(ENV_JOBS, int) or 1
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +127,7 @@ def _instance_domain(path: Path, domains: dict) -> str:
 def _load_domain_map(instance_dir: Path) -> dict:
     meta = instance_dir / "instances.json"
     if meta.exists():
-        return {entry["file"]: entry["domain"]
-                for entry in json.loads(meta.read_text(encoding="utf-8"))}
+        return {entry["file"]: entry["domain"] for entry in read_json(meta)}
     return {}
 
 
@@ -185,7 +208,7 @@ def _cmd_select(argv) -> int:
     rng = SeededRng(opts.seed)
 
     if opts.copy_queries_from:
-        source = json.loads(Path(opts.copy_queries_from).read_text(encoding="utf-8"))
+        source = read_json(opts.copy_queries_from)
         manifest = {"group": opts.group, "seed": source.get("seed"),
                     "shared_with": source.get("group"),
                     "instances": source["instances"], "balance": source.get("balance")}
@@ -194,7 +217,7 @@ def _cmd_select(argv) -> int:
         print(f"copied {len(source['instances'])} instances", file=sys.stderr)
         return 0
 
-    rows = json.loads(Path(opts.classification).read_text(encoding="utf-8"))
+    rows = read_json(opts.classification)
     pools: dict = {}
     info = {row["instance"]: row for row in rows}
     for row in rows:
@@ -276,7 +299,7 @@ def _cmd_run(argv) -> int:
 
     instances = []  # (id, path, queries)
     if opts.manifest:
-        manifest = json.loads(Path(opts.manifest).read_text(encoding="utf-8"))
+        manifest = read_json(opts.manifest)
         for row in manifest["instances"]:
             instances.append((row["instance"], row["path"], row.get("queries") or []))
     elif opts.instances:

@@ -30,7 +30,6 @@ class Semantics(str, Enum):
 
 
 SINGLE_STATUS = frozenset({Semantics.GR, Semantics.ID})
-MULTI_STATUS = frozenset(s for s in Semantics if s not in SINGLE_STATUS)
 
 PROBLEMS = ("DC", "DS", "SE", "EE")
 DECISION_PROBLEMS = frozenset({"DC", "DS"})

@@ -5,7 +5,9 @@ stage, grounded, ideal) needs the relevant comparison class.  Cheap checks
 run first: the set must be complete (conflict-free for stage), and a
 complete set with full range is stable, hence preferred and semi-stable.
 Only then does ``engine.dominated`` search for a candidate that strictly
-beats the set; grounded and ideal are compared with the one extension.
+beats the set, and it stops at the first one it finds, so a set that is
+not an extension is usually refuted early; grounded and ideal are compared
+with the one extension.
 """
 
 from __future__ import annotations

@@ -327,6 +327,44 @@ class TestOutsideInputErrors:
         assert code == 1 and out == ""
         assert err.startswith("afkit: line 2: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["run", "--roster", "{bad}", "--instances", "{tmp}",
+         "--out", "{tmp}/log.jsonl"],
+        ["run", "--roster", "{roster}", "--manifest", "{bad}",
+         "--out", "{tmp}/log.jsonl"],
+        ["classify", "--roster", "{bad}", "--instances", "{tmp}",
+         "--task", "SE-GR", "--out", "{tmp}/cls.json"],
+        ["select", "--classification", "{bad}", "--group", "A",
+         "--out", "{tmp}/sel.json"],
+        ["select", "--classification", "{bad}", "--group", "E",
+         "--copy-queries-from", "{bad}", "--out", "{tmp}/sel.json"],
+    ], ids=["roster", "manifest", "classify-roster", "classification",
+            "copy-queries-from"])
+    def test_file_that_is_not_json_is_named(self, capsys, tmp_path, argv):
+        bad = tmp_path / "bad.json"
+        bad.write_text('[{"id": "s",\n')
+        roster = _roster(tmp_path)
+        argv = [a.format(bad=bad, roster=roster, tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"afkit: {bad}: not JSON: ")
+
+    @pytest.mark.parametrize("entries, message", [
+        ([{"command": ["true"]}], "has no 'id' key"),
+        ([{"id": "s"}], "has no 'command' key"),
+        ({"id": "s", "command": ["true"]}, "not a list of solver descriptors"),
+        ([{"id": "s", "command": 7}], "not a list of solver descriptors"),
+    ], ids=["no-id", "no-command", "not-a-list", "command-not-a-list"])
+    def test_roster_entry_without_a_field_is_named(self, capsys, tmp_path,
+                                                   entries, message):
+        roster = tmp_path / "roster.json"
+        roster.write_text(json.dumps(entries))
+        code, out, err = run_cli(capsys, "run", "--roster", str(roster),
+                                 "--instances", str(tmp_path),
+                                 "--out", str(tmp_path / "log.jsonl"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"afkit: {roster}: ") and message in err
+
 
 class TestEnvironmentOverrides:
     def test_env_limits_and_jobs(self, capsys, tmp_path, monkeypatch):
@@ -347,7 +385,7 @@ class TestEnvironmentOverrides:
 
     def test_bad_env_value_ignored(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("AFKIT_JOBS", "many")
-        from afkit.cli import _resolve_jobs
+        from afkit.subcommands import _resolve_jobs
         assert _resolve_jobs(None) == 1
         assert _resolve_jobs(4) == 4
 

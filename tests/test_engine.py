@@ -31,25 +31,49 @@ def test_empty_framework_tasks():
     af = ArgumentationFramework([])
     assert engine.solve_optimized(parse_task("EE-PR"), af) == \
         AllExtensions.of([frozenset()])
-    assert engine.d3(af) == Triathlon.of([frozenset()], [frozenset()],
-                                         [frozenset()])
+    assert engine.solve_optimized(parse_task("D3"), af) == \
+        Triathlon.of([frozenset()], [frozenset()], [frozenset()])
 
 
 def test_d3_shares_answer_with_oracle(example1):
-    got = engine.d3(example1)
+    got = engine.solve_optimized(parse_task("D3"), example1)
     assert got == oracle.solve(parse_task("D3"), example1)
     assert as_tuples(got.stable) == []
 
 
 def test_d3_single_argument():
     af = ArgumentationFramework(["a"])
-    t = engine.d3(af)
+    t = engine.solve_optimized(parse_task("D3"), af)
     assert t == Triathlon.of([{"a"}], [{"a"}], [{"a"}])
 
 
 def test_budget_error_surfaces_not_a_wrong_answer(example1):
     with pytest.raises(BudgetExceededError):
         engine.solve_optimized(parse_task("EE-CO"), example1, budget=2)
+
+
+@pytest.mark.parametrize("sem", [Semantics.PR, Semantics.SST, Semantics.STG])
+def test_dominated_stops_at_its_first_witness(monkeypatch, sem):
+    # k disjoint mutual-attack pairs have 3^k complete extensions and 2^k
+    # maximal conflict-free sets, and the first of either beats the empty
+    # set.  A budget of 10 nodes per argument replaces the unbudgeted one,
+    # so a search that does not stop at its first witness fails fast.
+    k = 20
+    names = [f"{s}{i}" for i in range(k) for s in "ab"]
+    af = ArgumentationFramework(
+        names, [(f"{s}{i}", f"{t}{i}") for i in range(k)
+                for s, t in ("ab", "ba")])
+    real_budget = engine._Budget
+    budgets = []
+
+    def capped(limit):
+        assert limit is None
+        budgets.append(real_budget(10 * len(af)))
+        return budgets[-1]
+
+    monkeypatch.setattr(engine, "_Budget", capped)
+    assert engine.dominated(sem, af, frozenset())
+    assert len(budgets) == 1 and budgets[0].remaining >= 0
 
 
 def _random_afs(count, max_args, seed):
@@ -155,15 +179,17 @@ def test_engine_matches_oracle_on_dense_and_sparse_extremes():
 
 
 # ---------------------------------------------------------------------------
-# The engine's private names stay inside engine.py
+# A module's private names stay inside that module
 
 SRC = Path(engine.__file__).parent
 
 
-def _private_engine_uses(text, package):
-    """Dotted names ``afkit.engine._…`` that module source ``text`` in
-    ``package`` (a list such as ``["afkit", "harness"]``) imports or reads
-    through an attribute."""
+def _private_uses(text, module, is_package=False):
+    """Dotted names ``afkit.<other>._…`` that the source ``text`` of
+    ``module`` (such as ``"afkit.harness.judge"``; ``is_package`` for an
+    ``__init__``) imports or reads through an attribute, where ``<other>``,
+    the part before the first private name, is not ``module`` itself."""
+    package = module.split(".") if is_package else module.split(".")[:-1]
     tree = ast.parse(text)
     bound = {}  # local name -> the dotted name it stands for
     for node in ast.walk(tree):
@@ -173,9 +199,9 @@ def _private_engine_uses(text, package):
                 bound[local] = a.name if a.asname else local
         elif isinstance(node, ast.ImportFrom):
             base = package[:len(package) - node.level + 1] if node.level else []
-            module = base + (node.module.split(".") if node.module else [])
+            names = base + (node.module.split(".") if node.module else [])
             for a in node.names:
-                bound[a.asname or a.name] = ".".join(module + [a.name])
+                bound[a.asname or a.name] = ".".join(names + [a.name])
     uses = set(bound.values())
     for node in ast.walk(tree):
         attrs = []
@@ -184,28 +210,47 @@ def _private_engine_uses(text, package):
             node = node.value
         if attrs and isinstance(node, ast.Name) and node.id in bound:
             uses.add(".".join([bound[node.id]] + attrs[::-1]))
-    return sorted(u for u in uses if u.startswith("afkit.engine._"))
+    found = []
+    for use in uses:
+        parts = use.split(".")
+        private = [k for k, part in enumerate(parts) if part.startswith("_")]
+        if parts[0] == "afkit" and private \
+                and ".".join(parts[:private[0]]) != module:
+            found.append(use)
+    return sorted(found)
 
 
-def test_private_engine_use_is_detected():
-    assert _private_engine_uses(
-        "from . import engine\nengine._Budget(None)\n", ["afkit"]) == \
+def test_private_use_is_detected():
+    assert _private_uses(
+        "from . import engine\nengine._Budget(None)\n", "afkit.verify") == \
         ["afkit.engine._Budget"]
-    assert _private_engine_uses(
-        "from ..engine import _LabellingSearch, d3\n", ["afkit", "harness"]) \
-        == ["afkit.engine._LabellingSearch"]
-    assert _private_engine_uses(
-        "import afkit.engine as e\ne.dominated\ne._extensions\n", ["afkit"]) \
-        == ["afkit.engine._extensions"]
+    assert _private_uses(
+        "from ..engine import _LabellingSearch, dominated\n",
+        "afkit.harness.judge") == ["afkit.engine._LabellingSearch"]
+    assert _private_uses(
+        "import afkit.engine as e\ne.dominated\ne._extensions\n",
+        "afkit.cli") == ["afkit.engine._extensions"]
+    assert _private_uses(
+        "from .cli import _resolve_jobs, main\n", "afkit.subcommands") == \
+        ["afkit.cli._resolve_jobs"]
+    assert _private_uses(
+        "from .runner import _limited_argv\n", "afkit.harness",
+        is_package=True) == ["afkit.harness.runner._limited_argv"]
+    assert _private_uses(
+        "from .core import ArgumentationFramework as AF\nAF._index\n",
+        "afkit.engine") == ["afkit.core.ArgumentationFramework._index"]
+    assert _private_uses(
+        "import afkit.engine\nafkit.engine._Budget\n", "afkit.engine") == []
 
 
-def test_no_module_but_the_engine_uses_its_private_names():
+def test_no_module_uses_another_modules_private_names():
     offenders = {}
     for path in sorted(SRC.rglob("*.py")):
-        if path == SRC / "engine.py":
-            continue
-        package = ["afkit", *path.parent.relative_to(SRC).parts]
-        uses = _private_engine_uses(path.read_text(encoding="utf-8"), package)
+        parts = ["afkit", *path.relative_to(SRC).with_suffix("").parts]
+        is_package = parts[-1] == "__init__"
+        module = ".".join(parts[:-1] if is_package else parts)
+        uses = _private_uses(path.read_text(encoding="utf-8"), module,
+                             is_package)
         if uses:
             offenders[str(path.relative_to(SRC))] = uses
     assert offenders == {}

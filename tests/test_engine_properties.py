@@ -96,8 +96,10 @@ def test_every_reported_leaf_is_a_labelling(case):
     af, forced, allow_undec = case
     search = engine._LabellingSearch(af, engine._Budget(None))
     reported = []
-
-    def on_leaf(ext):
+    # The generator is suspended at each leaf, so ``search.lab`` holds the
+    # labelling of the extension it just yielded.
+    for ext in search.solutions([(af.index_of(a), label)
+                                 for a, label in forced.items()], allow_undec):
         assert labelling_conditions_hold(search.lab, search.attackers)
         assert all(search.lab[af.index_of(a)] == label
                    for a, label in forced.items())
@@ -105,10 +107,6 @@ def test_every_reported_leaf_is_a_labelling(case):
         if not allow_undec:
             assert has_full_range(af, ext)
         reported.append(ext)
-        return True
-
-    search.run(on_leaf, [(af.index_of(a), label)
-                         for a, label in forced.items()], allow_undec)
     sem = Semantics.CO if allow_undec else Semantics.ST
     expected = [e for e in oracle.oracle_enumerate(sem, af)
                 if _fits(af, e, forced)]

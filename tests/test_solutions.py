@@ -29,10 +29,6 @@ class TestWrite:
         assert write_solution(EE, ans) == "[[a,h],[b,d,h]]"
         assert write_solution(parse_task("EE-ST"), AllExtensions.of([])) == "[]"
 
-    def test_line_per_extension_mode(self):
-        ans = AllExtensions.of([frozenset({"b"}), frozenset({"a"})])
-        assert write_solution(EE, ans, line_per_extension=True) == "[[a],\n[b]]"
-
     def test_d3_three_lines(self):
         ans = Triathlon.of([frozenset()], [], [frozenset({"a", "h"}),
                                                frozenset({"b", "d", "h"})])
