@@ -220,7 +220,7 @@ def _private_uses(text, module, is_package=False):
     return sorted(found)
 
 
-def test_private_use_is_detected():
+def test_private_engine_use_is_detected():
     assert _private_uses(
         "from . import engine\nengine._Budget(None)\n", "afkit.verify") == \
         ["afkit.engine._Budget"]
@@ -231,6 +231,11 @@ def test_private_use_is_detected():
         "import afkit.engine as e\ne.dominated\ne._extensions\n",
         "afkit.cli") == ["afkit.engine._extensions"]
     assert _private_uses(
+        "import afkit.engine\nafkit.engine._Budget\n", "afkit.engine") == []
+
+
+def test_private_use_is_detected():
+    assert _private_uses(
         "from .cli import _resolve_jobs, main\n", "afkit.subcommands") == \
         ["afkit.cli._resolve_jobs"]
     assert _private_uses(
@@ -240,10 +245,12 @@ def test_private_use_is_detected():
         "from .core import ArgumentationFramework as AF\nAF._index\n",
         "afkit.engine") == ["afkit.core.ArgumentationFramework._index"]
     assert _private_uses(
-        "import afkit.engine\nafkit.engine._Budget\n", "afkit.engine") == []
+        "from .cli import _resolve_jobs\n", "afkit.cli") == []
 
 
-def test_no_module_uses_another_modules_private_names():
+def _private_uses_by_file():
+    """``{path relative to the package: private names of other modules it
+    uses}`` for every source file of afkit that uses any."""
     offenders = {}
     for path in sorted(SRC.rglob("*.py")):
         parts = ["afkit", *path.relative_to(SRC).with_suffix("").parts]
@@ -253,4 +260,14 @@ def test_no_module_uses_another_modules_private_names():
                              is_package)
         if uses:
             offenders[str(path.relative_to(SRC))] = uses
-    assert offenders == {}
+    return offenders
+
+
+def test_no_module_but_the_engine_uses_its_private_names():
+    offenders = {path: [u for u in uses if u.startswith("afkit.engine.")]
+                 for path, uses in _private_uses_by_file().items()}
+    assert {path: uses for path, uses in offenders.items() if uses} == {}
+
+
+def test_no_module_uses_another_modules_private_names():
+    assert _private_uses_by_file() == {}
