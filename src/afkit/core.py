@@ -165,15 +165,17 @@ def _attacked_indices(af: ArgumentationFramework, idx: Set[int]) -> Set[int]:
     return attacked
 
 
+def _defended(af: ArgumentationFramework, attacked: Set[int],
+              candidates: Iterable[int]) -> Set[int]:
+    """The candidates all of whose attackers are in ``attacked``."""
+    attackers = af.attacker_indices()
+    return {i for i in candidates if all(z in attacked for z in attackers[i])}
+
+
 def is_conflict_free(af: ArgumentationFramework, members: Iterable[str]) -> bool:
     """True iff no attack of ``af`` has both endpoints in ``members``."""
     idx = af.member_indices(members)
-    targets = af.target_indices()
-    for i in idx:
-        for t in targets[i]:
-            if t in idx:
-                return False
-    return True
+    return idx.isdisjoint(_attacked_indices(af, idx))
 
 
 def defends(af: ArgumentationFramework, members: Iterable[str],
@@ -194,29 +196,17 @@ def range_of(af: ArgumentationFramework, members: Iterable[str]) -> Extension:
 def is_admissible(af: ArgumentationFramework, members: Iterable[str]) -> bool:
     """Conflict-free and self-defending."""
     idx = af.member_indices(members)
-    targets = af.target_indices()
-    for i in idx:
-        for t in targets[i]:
-            if t in idx:
-                return False
     attacked = _attacked_indices(af, idx)
-    attackers = af.attacker_indices()
-    return all(z in attacked for i in idx for z in attackers[i])
+    return idx.isdisjoint(attacked) and _defended(af, attacked, idx) == idx
 
 
 def is_complete(af: ArgumentationFramework, members: Iterable[str]) -> bool:
-    """Admissible, and every argument the set defends already belongs to it."""
+    """Conflict-free, and the arguments the set defends are exactly its
+    members."""
     idx = af.member_indices(members)
-    if not is_admissible(af, af.names_of(idx)):
-        return False
     attacked = _attacked_indices(af, idx)
-    attackers = af.attacker_indices()
-    for i in range(len(af)):
-        if i in idx:
-            continue
-        if all(z in attacked for z in attackers[i]):
-            return False
-    return True
+    return (idx.isdisjoint(attacked)
+            and _defended(af, attacked, range(len(af))) == idx)
 
 
 def has_full_range(af: ArgumentationFramework, members: Iterable[str]) -> bool:

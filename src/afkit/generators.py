@@ -372,30 +372,37 @@ def gen_watts(cfg: WattsStrogatz, rng: SeededRng) -> ArgumentationFramework:
     cfg.validate()
     n = cfg.n
     names = _names(n)
-    edges: Set[Tuple[int, int]] = set()
+    nbrs: List[Set[int]] = [set() for _ in range(n)]
     for d in range(1, cfg.k // 2 + 1):
         for i in range(n):
             j = (i + d) % n
             if i != j:
-                edges.add((min(i, j), max(i, j)))
+                nbrs[i].add(j)
+                nbrs[j].add(i)
     rewire = rng.split("rewire")
     for d in range(1, cfg.k // 2 + 1):
         for i in range(n):
             j = (i + d) % n
-            e = (min(i, j), max(i, j))
-            if e not in edges or not rewire.coin(cfg.beta):
+            if j not in nbrs[i] or not rewire.coin(cfg.beta):
                 continue
-            free = [w for w in range(n)
-                    if w != i and (min(i, w), max(i, w)) not in edges]
+            free = n - 1 - len(nbrs[i])
             if not free:
                 continue
-            w = rewire.choice(free)
-            edges.discard(e)
-            edges.add((min(i, w), max(i, w)))
+            # The w-th vertex, ascending, that is neither i nor a neighbour.
+            w = rewire.randbelow(free)
+            for u in sorted(nbrs[i] | {i}):
+                if u > w:
+                    break
+                w += 1
+            nbrs[i].discard(j)
+            nbrs[j].discard(i)
+            nbrs[i].add(w)
+            nbrs[w].add(i)
     orient = rng.split("orient")
     attacks: Set[Tuple[int, int]] = set()
-    for u, v in sorted(edges):
-        attacks.add((u, v) if orient.coin(0.5) else (v, u))
+    for u in range(n):
+        for v in sorted(w for w in nbrs[u] if w > u):
+            attacks.add((u, v) if orient.coin(0.5) else (v, u))
     _add_cycles(n, attacks, cfg.prob_cycles, rng.split("cycles"))
     return ArgumentationFramework(names, ((names[u], names[v]) for u, v in attacks))
 

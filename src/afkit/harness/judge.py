@@ -4,11 +4,21 @@ A result earns 1 point when correct, -5 when incorrect, and 0 otherwise
 (empty output, timeout, unparsable text, or an enumeration that lists some
 but not all extensions).
 
-With a reference answer available, judging is exact.  Without one, the
-cascade applies: single extensions are verified directly; enumerations have
-every claimed set verified (any bad set is an incorrect answer); remaining
-doubt falls to a majority vote across all participants, and an unverifiable
-answer nobody contradicts is accepted as correct-unchecked and flagged.
+``verify_cascade`` decides every verdict, applying these rules in order
+until one decides:
+
+1. An unparsable answer scores 0.
+2. A claimed single extension (SE) is verified directly: any extension is a
+   correct answer, so the reference is never computed for it.
+3. Any other answer is compared with the reference answer when one can be
+   computed: DC, DS and an SE ``NO`` by equality, EE by the subset rule
+   (some but not all extensions scores 0, a non-extension -5), D3 by the
+   subset rule on each of its three enumerations.
+4. Without a reference, an EE answer has its claimed sets verified one by
+   one; the first rejected set makes it incorrect.
+5. A majority vote across the cell's answers decides what is left.
+6. An answer nobody contradicts is accepted as correct and flagged
+   unchecked.
 """
 
 from __future__ import annotations
@@ -20,8 +30,7 @@ from .. import engine, oracle
 from ..core import ArgumentationFramework
 from ..errors import BudgetExceededError, OracleSizeError, UnknownArgumentError
 from ..solutions import SolutionText, write_solution
-from ..tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
-                     Triathlon, YesNo)
+from ..tasks import Answer, Semantics, TaskSpec
 from ..verify import verify
 from .records import CORRECT, INCORRECT, POINTS, ZERO
 
@@ -51,7 +60,7 @@ class ReferenceBundle:
         self.af = af
         self.budget = budget
         self._solver = solver
-        self._cache: Dict[str, Optional[Answer]] = {}
+        self._cache: Dict[TaskSpec, Optional[Answer]] = {}
 
     def _solve(self, task: TaskSpec) -> Answer:
         if self._solver is not None:
@@ -63,13 +72,12 @@ class ReferenceBundle:
 
     def answer_for(self, task: TaskSpec) -> Optional[Answer]:
         """The reference answer, or None when it cannot be computed."""
-        key = task.name() + ("?" + task.query if task.query else "")
-        if key not in self._cache:
+        if task not in self._cache:
             try:
-                self._cache[key] = self._solve(task)
+                self._cache[task] = self._solve(task)
             except BudgetExceededError:
-                self._cache[key] = None
-        return self._cache[key]
+                self._cache[task] = None
+        return self._cache[task]
 
     def is_extension(self, sem: Semantics, members) -> Optional[bool]:
         """Direct verification; None when it cannot be decided."""
@@ -81,57 +89,22 @@ class ReferenceBundle:
             return None
 
 
-def judge(task: TaskSpec, solution: SolutionText,
-          reference: ReferenceBundle) -> Judgement:
-    """Judge one answer against a reference bundle."""
-    if solution.answer is None:
-        return Judgement.of(ZERO)
-    answer = solution.answer
-    if task.problem in ("DC", "DS"):
-        truth = reference.answer_for(task)
-        if truth is None:
-            return Judgement.of(ZERO)
-        assert isinstance(truth, YesNo)
-        return Judgement.of(CORRECT if answer == truth else INCORRECT)
-    if task.problem == "SE":
-        return _judge_se(task, answer, reference)
+def _against(task: TaskSpec, answer: Answer, truth: Answer) -> str:
+    """The verdict on ``answer`` given the true answer: DC, DS and an SE
+    ``NO`` by equality, EE by the subset rule, D3 by the subset rule on each
+    of its three enumerations."""
     if task.problem == "EE":
-        ref = reference.answer_for(task)
-        if ref is None:
-            return Judgement.of(ZERO)
-        assert isinstance(ref, AllExtensions)
-        return Judgement.of(_judge_enumeration(answer.extensions, ref.extensions))
-    # D3: the subset rule applies to each of the three enumerations.
-    ref = reference.answer_for(task)
-    if ref is None:
-        return Judgement.of(ZERO)
-    assert isinstance(ref, Triathlon)
-    verdicts = [
-        _judge_enumeration(answer.grounded, ref.grounded),
-        _judge_enumeration(answer.stable, ref.stable),
-        _judge_enumeration(answer.preferred, ref.preferred),
-    ]
-    if INCORRECT in verdicts:
-        return Judgement.of(INCORRECT)
-    if all(v == CORRECT for v in verdicts):
-        return Judgement.of(CORRECT)
-    return Judgement.of(ZERO)
-
-
-def _judge_se(task: TaskSpec, answer: OneExtension,
-              reference: ReferenceBundle) -> Judgement:
-    sem = task.semantics
-    if answer.extension is None:
-        # NO is correct exactly when no extension exists.
-        ref = reference.answer_for(task)
-        if ref is None:
-            return Judgement.of(ZERO)
-        assert isinstance(ref, OneExtension)
-        return Judgement.of(CORRECT if ref.extension is None else INCORRECT)
-    ok = reference.is_extension(sem, answer.extension)
-    if ok is None:
-        return Judgement.of(ZERO)
-    return Judgement.of(CORRECT if ok else INCORRECT)
+        return _judge_enumeration(answer.extensions, truth.extensions)
+    if task.problem == "D3":
+        verdicts = {
+            _judge_enumeration(answer.grounded, truth.grounded),
+            _judge_enumeration(answer.stable, truth.stable),
+            _judge_enumeration(answer.preferred, truth.preferred),
+        }
+        if INCORRECT in verdicts:
+            return INCORRECT
+        return CORRECT if verdicts == {CORRECT} else ZERO
+    return CORRECT if answer == truth else INCORRECT
 
 
 def _judge_enumeration(claimed: Tuple, ref: Tuple) -> str:
@@ -143,13 +116,6 @@ def _judge_enumeration(claimed: Tuple, ref: Tuple) -> str:
     return ZERO  # only real extensions, but not all of them
 
 
-# ---------------------------------------------------------------------------
-# Judging without a precomputed reference
-
-def _canonical_key(task: TaskSpec, answer: Answer) -> str:
-    return write_solution(task, answer)
-
-
 def _majority(task: TaskSpec, answers: Sequence[Answer]) -> Optional[Answer]:
     """Plurality answer with a strict lead over the runner-up.
 
@@ -158,7 +124,7 @@ def _majority(task: TaskSpec, answers: Sequence[Answer]) -> Optional[Answer]:
     """
     buckets: Dict[str, List[Answer]] = {}
     for a in answers:
-        buckets.setdefault(_canonical_key(task, a), []).append(a)
+        buckets.setdefault(write_solution(task, a), []).append(a)
     ranked = sorted(buckets.values(), key=len, reverse=True)
     if not ranked or len(ranked[0]) < 2:
         return None
@@ -170,40 +136,34 @@ def _majority(task: TaskSpec, answers: Sequence[Answer]) -> Optional[Answer]:
 def verify_cascade(task: TaskSpec, reference: ReferenceBundle,
                    solution: SolutionText,
                    all_solutions: Sequence[SolutionText]) -> Judgement:
-    """Judge when no precomputed reference is guaranteed.
+    """Judge one answer of a cell whose answers are ``all_solutions``.
 
-    Order: reference answer if the engine solved the instance; direct
-    verification of claimed extensions for SE/EE; majority vote across all
-    participants; a unique unverifiable answer is correct-unchecked.
+    The rules apply in the order of the module docstring; the first that
+    decides gives the verdict.
     """
-    if solution.answer is None:
-        return Judgement.of(ZERO)
     answer = solution.answer
-
-    has_reference = reference.answer_for(task) is not None
-    if has_reference:
-        return judge(task, solution, reference)
-
+    if answer is None:
+        return Judgement.of(ZERO)
     if task.problem == "SE" and answer.extension is not None:
         ok = reference.is_extension(task.semantics, answer.extension)
         if ok is not None:
             return Judgement.of(CORRECT if ok else INCORRECT)
-    if task.problem == "EE":
-        checks = [reference.is_extension(task.semantics, e)
-                  for e in answer.extensions]
-        if any(c is False for c in checks):
+    else:
+        truth = reference.answer_for(task)
+        if truth is not None:
+            return Judgement.of(_against(task, answer, truth))
+        if task.problem == "EE" and any(
+                reference.is_extension(task.semantics, e) is False
+                for e in answer.extensions):
             return Judgement.of(INCORRECT)
-        # All members verified (or unverifiable): completeness still unknown.
 
     peers = [s.answer for s in all_solutions if s.answer is not None]
     majority = _majority(task, peers)
-    if majority is not None:
-        if _canonical_key(task, answer) == _canonical_key(task, majority):
-            return Judgement.of(CORRECT)
-        if task.problem == "EE" and isinstance(majority, AllExtensions):
-            verdict = _judge_enumeration(answer.extensions, majority.extensions)
-            return Judgement.of(verdict)
-        return Judgement.of(INCORRECT)
-
-    # Nothing to compare against: accept, flagged as unchecked.
-    return Judgement.of(CORRECT, unchecked=True)
+    if majority is None:
+        # Nothing to compare against: accept, flagged as unchecked.
+        return Judgement.of(CORRECT, unchecked=True)
+    if task.problem == "EE":
+        return Judgement.of(_judge_enumeration(answer.extensions,
+                                               majority.extensions))
+    same = write_solution(task, answer) == write_solution(task, majority)
+    return Judgement.of(CORRECT if same else INCORRECT)

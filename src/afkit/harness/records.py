@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Iterator, Optional
@@ -60,6 +61,19 @@ def read_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except ValueError as exc:
         raise FormatError(f"{path}: not JSON: {exc}") from None
+
+
+@contextmanager
+def json_shape(path, what: str):
+    """Inside the block, a JSON document read from ``path`` that lacks a key
+    or holds a value of the wrong kind is a FormatError naming the file;
+    ``what`` says what the document should have been."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{path}: an object has no {exc} key") from None
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: not {what}: {exc}") from None
 
 
 def append_record(path, record: JobRecord) -> None:

@@ -18,9 +18,8 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-from ..errors import FormatError
 from .limits import ResourceLimits
-from .records import JobRecord, append_record, read_json
+from .records import JobRecord, append_record, json_shape, read_json
 
 
 @dataclass(frozen=True)
@@ -51,14 +50,9 @@ class SolverSpec:
 def load_roster(path) -> List[SolverSpec]:
     """Read a roster file: a JSON list of solver descriptors.  A file that
     is not one is a FormatError naming it."""
-    try:
-        return [SolverSpec.from_dict(d) for d in read_json(path)]
-    except KeyError as exc:
-        raise FormatError(f"{path}: a solver descriptor has no {exc} key") \
-            from None
-    except TypeError as exc:
-        raise FormatError(f"{path}: not a list of solver descriptors: {exc}") \
-            from None
+    entries = read_json(path)
+    with json_shape(path, "a list of solver descriptors"):
+        return [SolverSpec.from_dict(d) for d in entries]
 
 
 def _limited_argv(argv: List[str], memory_bytes: int) -> List[str]:
@@ -141,16 +135,10 @@ def run_jobs(jobs: Sequence[JobSpec], parallelism: int = 1,
     query) so downstream aggregation never depends on completion order.
     """
     records: List[JobRecord] = []
-    if parallelism <= 1:
-        iterator = map(run_job, jobs)
-    else:
-        pool = ThreadPoolExecutor(max_workers=parallelism)
-        iterator = pool.map(run_job, jobs)
-    for record in iterator:
-        if log_path is not None:
-            append_record(log_path, record)
-        records.append(record)
-    if parallelism > 1:
-        pool.shutdown()
+    with ThreadPoolExecutor(max_workers=max(1, parallelism)) as pool:
+        for record in pool.map(run_job, jobs):
+            if log_path is not None:
+                append_record(log_path, record)
+            records.append(record)
     records.sort(key=lambda r: (r.solver, r.task, r.instance, r.query or ""))
     return records

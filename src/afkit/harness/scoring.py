@@ -90,9 +90,3 @@ def aggregate(records: Sequence[JobRecord],
                                 time=time, timeouts=timeouts, other=other,
                                 usc=usc[s], usc_unchecked=usc_unchecked[s]))
     return out
-
-
-def rank(records: Sequence[JobRecord],
-         tasks: Iterable[str] | None = None) -> List[RankedRow]:
-    """Rank solvers over judged records, optionally restricted to a task set."""
-    return rank_counts(aggregate(records, tasks))

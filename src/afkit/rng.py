@@ -2,7 +2,7 @@
 
 The generator is Mersenne Twister (MT19937) driven exclusively through
 ``getrandbits``, with all derived draws (uniform floats, bounded integers,
-choice, shuffle, sample) implemented here.  That keeps every stream
+choice, sample, coin) implemented here.  That keeps every stream
 bit-identical across platforms and Python versions: the stdlib guarantees the
 raw MT output, while its higher-level helpers do not.
 
@@ -36,9 +36,6 @@ class SeededRng:
         digest = hashlib.sha256(f"{self.seed}/{label}".encode()).digest()
         return SeededRng(int.from_bytes(digest[:8], "big"))
 
-    def getrandbits(self, k: int) -> int:
-        return self._mt.getrandbits(k)
-
     def random(self) -> float:
         """Uniform float in [0, 1) with 53 random bits."""
         return self._mt.getrandbits(53) / (1 << 53)
@@ -63,12 +60,6 @@ class SeededRng:
         if not seq:
             raise ValueError("choice from an empty sequence")
         return seq[self.randbelow(len(seq))]
-
-    def shuffle(self, items: List[T]) -> None:
-        """In-place Fisher-Yates shuffle."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]
 
     def sample(self, seq: Sequence[T], k: int) -> List[T]:
         """k distinct elements, order random (partial Fisher-Yates)."""

@@ -26,7 +26,7 @@ from .harness import (GROUPS, HardnessCategory, ReferenceBundle, RefRun,
                       classify_hardness, emit_counts_report, emit_report,
                       load_roster, read_records, select_by_quota,
                       verify_cascade)
-from .harness.records import read_json
+from .harness.records import json_shape, read_json
 from .harness.runner import JobSpec, run_jobs
 from .harness.scoring import SolverCounts
 from .rng import SeededRng
@@ -126,9 +126,11 @@ def _instance_domain(path: Path, domains: dict) -> str:
 
 def _load_domain_map(instance_dir: Path) -> dict:
     meta = instance_dir / "instances.json"
-    if meta.exists():
-        return {entry["file"]: entry["domain"] for entry in read_json(meta)}
-    return {}
+    if not meta.exists():
+        return {}
+    entries = read_json(meta)
+    with json_shape(meta, "a list of generated instances"):
+        return {entry["file"]: entry["domain"] for entry in entries}
 
 
 def _cmd_classify(argv) -> int:
@@ -209,9 +211,11 @@ def _cmd_select(argv) -> int:
 
     if opts.copy_queries_from:
         source = read_json(opts.copy_queries_from)
-        manifest = {"group": opts.group, "seed": source.get("seed"),
-                    "shared_with": source.get("group"),
-                    "instances": source["instances"], "balance": source.get("balance")}
+        with json_shape(opts.copy_queries_from, "a selection manifest"):
+            manifest = {"group": opts.group, "seed": source.get("seed"),
+                        "shared_with": source.get("group"),
+                        "instances": source["instances"],
+                        "balance": source.get("balance")}
         Path(opts.out).write_text(json.dumps(manifest, indent=2) + "\n",
                                   encoding="utf-8")
         print(f"copied {len(source['instances'])} instances", file=sys.stderr)
@@ -219,12 +223,14 @@ def _cmd_select(argv) -> int:
 
     rows = read_json(opts.classification)
     pools: dict = {}
-    info = {row["instance"]: row for row in rows}
-    for row in rows:
-        cat = HardnessCategory(row["category"])
-        if cat == HardnessCategory.NOT_CLASSIFIED:
-            continue
-        pools.setdefault(cat, {}).setdefault(row["domain"], []).append(row["instance"])
+    with json_shape(opts.classification, "a classification"):
+        paths = {row["instance"]: row["path"] for row in rows}
+        for row in rows:
+            cat = HardnessCategory(row["category"])
+            if cat == HardnessCategory.NOT_CLASSIFIED:
+                continue
+            domain = pools.setdefault(cat, {}).setdefault(row["domain"], [])
+            domain.append(row["instance"])
     if opts.quota:
         quota = SelectionQuota(*opts.quota)
     else:
@@ -235,7 +241,7 @@ def _cmd_select(argv) -> int:
     for category, pairs in picked.items():
         for domain, instance in pairs:
             selected.append({"instance": instance, "domain": domain,
-                             "path": info[instance]["path"],
+                             "path": paths[instance],
                              "category": str(category), "queries": []})
 
     balance = None
@@ -247,12 +253,11 @@ def _cmd_select(argv) -> int:
             queries = assign_ideal_queries(loaded, rng.split("ideal-queries"),
                                            budget=opts.answer_budget)
         else:
-            bundles = {name: ReferenceBundle(af, budget=opts.answer_budget)
-                       for name, af, _ in loaded}
+            bundles = {id(af): ReferenceBundle(af, budget=opts.answer_budget)
+                       for _, af, _ in loaded}
 
             def answer_fn(task_name, af, query):
-                name = next(n for n, a, _ in loaded if a is af)
-                ans = bundles[name].answer_for(parse_task(task_name, query))
+                ans = bundles[id(af)].answer_for(parse_task(task_name, query))
                 return None if ans is None else ans.value
 
             assignments, balance = assign_query_arguments(
@@ -300,8 +305,10 @@ def _cmd_run(argv) -> int:
     instances = []  # (id, path, queries)
     if opts.manifest:
         manifest = read_json(opts.manifest)
-        for row in manifest["instances"]:
-            instances.append((row["instance"], row["path"], row.get("queries") or []))
+        with json_shape(opts.manifest, "a selection manifest"):
+            for row in manifest["instances"]:
+                instances.append((row["instance"], row["path"],
+                                  row.get("queries") or []))
     elif opts.instances:
         for q in sorted(Path(opts.instances).iterdir()):
             if q.suffix.lstrip(".") in FORMATS:
@@ -352,23 +359,22 @@ def _limits_for(opts, task_name: str) -> ResourceLimits:
 
 
 def _judge_records(records, instance_paths, ref_budget) -> None:
-    bundles: dict = {}
-    cells: dict = {}
+    """Judge the records one instance at a time, each cell of an instance
+    against that instance's reference bundle."""
+    by_instance: dict = {}
     for r in records:
-        cells.setdefault((r.task, r.instance, r.query), []).append(r)
-    for (task_name, instance_id, query), cell in sorted(cells.items(),
-                                                        key=lambda kv: str(kv[0])):
-        task = parse_task(task_name, query)
-        if instance_id not in bundles:
-            af = load_framework(instance_paths[instance_id])
-            bundles[instance_id] = ReferenceBundle(af, budget=ref_budget)
-        bundle = bundles[instance_id]
-        solutions = {id(r): parse_solution(task, r.raw if r.status == "ok" else "")
-                     for r in cell}
-        for r in cell:
-            judgement = verify_cascade(task, bundle, solutions[id(r)],
-                                       list(solutions.values()))
-            r.judged(judgement.verdict, judgement.unchecked)
+        cells = by_instance.setdefault(r.instance, {})
+        cells.setdefault((r.task, r.query), []).append(r)
+    for instance_id, cells in by_instance.items():
+        af = load_framework(instance_paths[instance_id])
+        bundle = ReferenceBundle(af, budget=ref_budget)
+        for (task_name, query), cell in cells.items():
+            task = parse_task(task_name, query)
+            solutions = [parse_solution(task, r.raw if r.status == "ok" else "")
+                         for r in cell]
+            for r, solution in zip(cell, solutions):
+                judgement = verify_cascade(task, bundle, solution, solutions)
+                r.judged(judgement.verdict, judgement.unchecked)
 
 
 # ---------------------------------------------------------------------------

@@ -366,6 +366,41 @@ class TestOutsideInputErrors:
         assert err.startswith(f"afkit: {roster}: ") and message in err
 
 
+    @pytest.mark.parametrize("argv, content", [
+        (["run", "--roster", "{roster}", "--manifest", "{bad}",
+          "--out", "{tmp}/log.jsonl"], {"rows": []}),
+        (["select", "--classification", "{bad}", "--group", "A",
+          "--out", "{tmp}/sel.json"], [{"instance": "a"}]),
+        (["select", "--classification", "{bad}", "--group", "E",
+          "--copy-queries-from", "{bad}", "--out", "{tmp}/sel.json"],
+         {"group": "A"}),
+    ], ids=["manifest", "classification", "copy-queries-from"])
+    def test_json_without_a_key_is_named(self, capsys, tmp_path, argv,
+                                         content):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(content))
+        roster = _roster(tmp_path)
+        argv = [a.format(bad=bad, roster=roster, tmp=tmp_path) for a in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(f"afkit: {bad}: ") and "has no '" in err
+
+    def test_instance_manifest_row_without_domain_is_named(self, capsys,
+                                                           tmp_path):
+        inst = tmp_path / "inst"
+        inst.mkdir()
+        meta = inst / "instances.json"
+        meta.write_text(json.dumps([{"file": "a.apx"}]))
+        roster = _roster(tmp_path, entries=[
+            {"id": f"s{i}", "command": [sys.executable, "-m", "afkit"]}
+            for i in range(3)])
+        code, out, err = run_cli(capsys, "classify", "--roster", roster,
+                                 "--instances", str(inst), "--task", "SE-GR",
+                                 "--out", str(tmp_path / "cls.json"))
+        assert code == 1 and out == ""
+        assert err.startswith(f"afkit: {meta}: ") and "'domain'" in err
+
+
 class TestEnvironmentOverrides:
     def test_env_limits_and_jobs(self, capsys, tmp_path, monkeypatch):
         out_dir = tmp_path / "inst"

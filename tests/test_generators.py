@@ -301,6 +301,12 @@ class TestCycleEnrichmentPins:
          "1dea62b4f64958f245c0f7c65a022b0f4693f1e9dc2783072dbd889e3790742d"),
         (BarabasiAlbert(n=50, prob_cycles=1.0), 6,
          "e5e761ebaceeb45ce158b207d62abf3563ec3ffbe0f315b4d6f640a6833763e3"),
+        # Heavy rewiring: most lattice edges move, many vertices take
+        # several new neighbours before their own edges come up.
+        (WattsStrogatz(n=300, k=8, beta=0.9, prob_cycles=0.1), 7,
+         "dca80e8b1ae84ef8a6eab1f93a13d7980d18b7f58837e10a37eada70b8a18f35"),
+        (WattsStrogatz(n=500, k=36, beta=0.5, prob_cycles=0.3), 8,
+         "f56a1d5571de8faa0a7e04ed26eaca9a6b98b73719b7673f704485ac4764f336"),
     ]
 
     @pytest.mark.parametrize("cfg,seed,digest", PINS,

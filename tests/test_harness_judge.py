@@ -1,8 +1,9 @@
 import pytest
 
+from afkit import oracle
 from afkit.errors import BudgetExceededError
 from afkit.harness.judge import (CORRECT, INCORRECT, ZERO, Judgement,
-                                 ReferenceBundle, judge, verify_cascade)
+                                 ReferenceBundle, verify_cascade)
 from afkit.solutions import parse_solution
 from afkit.tasks import parse_task
 
@@ -18,7 +19,9 @@ def bundle(example1):
 
 
 def j(task, text, bundle):
-    return judge(task, parse_solution(task, text), bundle)
+    # With a reference present, the other answers of the cell do not matter.
+    sol = parse_solution(task, text)
+    return verify_cascade(task, bundle, sol, [sol])
 
 
 class TestJudgeWithReference:
@@ -82,7 +85,24 @@ class _Unsolvable:
         raise BudgetExceededError("synthetic")
 
 
+class _NoSingleExtension:
+    """Reference solver stand-in that fails on every SE task and defers to
+    the oracle on the rest."""
+
+    def __call__(self, task, af):
+        if task.problem == "SE":
+            raise RuntimeError(f"{task.name()} reference requested")
+        return oracle.solve(task, af)
+
+
 class TestVerifyCascade:
+    def test_claimed_extension_needs_no_reference(self, example1):
+        bundle = ReferenceBundle(example1, solver=_NoSingleExtension())
+        se_pr = parse_task("SE-PR")
+        good, bad = parse_solution(se_pr, "[b,d,h]"), parse_solution(se_pr, "[a]")
+        assert verify_cascade(se_pr, bundle, good, [good, bad]).verdict == CORRECT
+        assert verify_cascade(se_pr, bundle, bad, [good, bad]).verdict == INCORRECT
+
     def test_reference_wins_when_available(self, example1):
         bundle = ReferenceBundle(example1)
         sol = parse_solution(EE_PR, "[[a,h]]")
@@ -159,8 +179,8 @@ def test_judge_never_accepts_enumeration_with_rejected_member():
                 size = sub.randint(0, len(names))
                 claimed.append(frozenset(sub.sample(names, size)))
             answer = AllExtensions.of(claimed)
-            text = write_solution(task, answer)
-            verdict = judge(task, parse_solution(task, text), bundle).verdict
+            sol = parse_solution(task, write_solution(task, answer))
+            verdict = verify_cascade(task, bundle, sol, [sol]).verdict
             if any(not verify(sem, af, c) for c in answer.extensions):
                 assert verdict == INCORRECT
             else:

@@ -1,8 +1,7 @@
 import pytest
 
 from afkit.harness.records import JobRecord
-from afkit.harness.scoring import (SolverCounts, aggregate, rank, rank_counts,
-                                   score)
+from afkit.harness.scoring import SolverCounts, aggregate, rank_counts, score
 
 from data.iccma17_tracks import PUBLISHED_DISCREPANCY, TASK_ROWS, TRACK_TABLES
 
@@ -91,11 +90,11 @@ def test_rank_over_records_restricted_to_tasks():
         _rec("s1", "SE-GR", "i1", "incorrect"),
         _rec("s2", "EE-PR", "i1", "zero"),
     ]
-    rows = rank(records, tasks=["EE-PR"])
+    rows = rank_counts(aggregate(records, tasks=["EE-PR"]))
     assert rows[0].counts.solver == "s1"
     assert rows[0].counts.points == 1
 
 
 def test_empty_records_score_zero():
-    assert rank([]) == []
+    assert rank_counts(aggregate([])) == []
     assert SolverCounts("x", 0, 0).points == 0
