@@ -1,42 +1,58 @@
-"""Optimized task engine: labelling-style backtracking search.
+"""Optimized task engine: two backtracking searches over index-level state.
 
-Complete extensions are enumerated as three-valued labellings (IN / OUT /
-UNDEC).  A labelling is complete when every argument meets its condition:
+The labelling search enumerates complete (or stable) extensions as
+three-valued labellings (IN / OUT / UNDEC).  A labelling is complete when
+every argument meets its condition:
 
 * IN: every attacker is OUT;
 * OUT: some attacker is IN;
 * UNDEC: no attacker is IN and not every attacker is OUT.
 
-The search keeps per-argument counts of IN, OUT and UNDEC attackers and
-propagates each assignment through them.  ``assign`` rejects an assignment
-that breaks a condition as soon as the counts decide it: IN next to an IN
-or UNDEC attacker, an IN attacker next to anything but OUT, UNDEC next to
-an IN attacker or with every attacker OUT, and OUT once its attackers are
-all labelled and none is IN.  Arguments whose attackers are all OUT are
-forced IN, and the neighbours of IN arguments are forced OUT.  So at a leaf,
-where every argument is labelled, each condition has been checked at the
-moment its last input was labelled, and the leaf is reported without
-re-scanning the framework.  The grounded fixed point is computed first and
-frozen into every search.
+It keeps per-argument counts of IN, OUT and UNDEC attackers and propagates
+each assignment through them.  ``assign`` rejects an assignment that breaks
+a condition as soon as the counts decide it: IN next to an IN or UNDEC
+attacker, an IN attacker next to anything but OUT, UNDEC next to an IN
+attacker or with every attacker OUT, and OUT once its attackers are all
+labelled and none is IN.  Arguments whose attackers are all OUT are forced
+IN, and the neighbours of IN arguments are forced OUT.  So at a leaf, where
+every argument is labelled, each condition has been checked at the moment
+its last input was labelled, and the leaf is reported without re-scanning
+the framework.  The grounded fixed point is computed first and frozen into
+every search.
 
-Both searches, the labelling search and the maximal conflict-free search,
-are generators: they yield each answer as they reach it, and the consumer
-decides when to stop by how much it draws.  Enumeration draws everything,
-a decision draws at most one answer.
+The admissible search is goal-directed (the argument game of Nofal,
+Atkinson & Dunne, AIJ 2014).  It grows a conflict-free set S from the
+grounded extension: while some attacker of S is not attacked by S, it
+branches on which attacker of it joins S, taking the attacker with the
+fewest candidates first, and later siblings exclude earlier candidates, so
+the branches are disjoint.  It decides whether an admissible set holds S
+and lies inside none of a list of avoided sets.  Preferred extensions are
+enumerated on it as PrefSAT does (Cerutti et al. 2014): find an admissible
+set inside none of the extensions found so far, grow it to a maximal one,
+avoid that from then on.  Both searches tick one node budget per branch
+tried, and neither builds per-argument bitmasks.
+
+Every search is a generator: it yields each answer as it reaches it, and
+the consumer decides when to stop by how much it draws.  Enumeration draws
+everything, a decision draws at most one answer.
 
 ``_extensions`` is the one place where a semantics meets its algorithm.
 Grounded is the fixed point itself; stable labellings are searched with
-UNDEC disabled; stage extensions are the range-maximal maximal conflict-free
-sets, enumerated and filtered as bitmasks.  Complete extensions come from
-the labelling search and preferred are their set-maximal members; both
-semi-stable (the range-maximal preferred) and ideal (the intersection of the
-preferred, shrunk to a fixed point of the defense check) are derived from
-that one preferred list.  D3 is grounded, stable and preferred under one
-budget.  Only the decision shortcuts bypass it: DC-CO, DC-PR, DC-ST and
-DS-ST draw at most one answer from a search with the query's label forced,
-and DS-CO is grounded membership.  ``dominated`` is the comparison that
-``verify`` needs for PR, SST and STG; it stops at the first candidate that
-beats the set.
+UNDEC disabled; preferred come from the admissible search, and both
+semi-stable (the range-maximal preferred) and ideal (the intersection of
+the preferred, shrunk to a fixed point of the defense check) are derived
+from that one preferred list.  Semi-stable and stage are the stable
+extensions whenever there are any; otherwise stage extensions are the
+range-maximal maximal conflict-free sets, enumerated and filtered as
+bitmasks.  Complete extensions are the grounded one alone when no
+admissible set strictly holds it, and come from the labelling search
+otherwise.  D3 is grounded, stable and preferred under one budget.  The
+decision shortcuts: DC-CO and DC-PR are one admissible search from the
+grounded extension and the query, DS-PR stops at the first preferred
+extension without the query, DC-ST and DS-ST draw at most one answer from
+a search with the query's label forced, and DS-CO is grounded membership.
+``dominated`` is the comparison that ``verify`` needs for PR, SST and STG;
+it stops at the first candidate that beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -229,9 +245,226 @@ def _labellings(af: ArgumentationFramework, budget: _Budget,
         [(af.index_of(a), label) for a, label in forced], allow_undec)
 
 
-def _maximal_sets(sets: List[Extension]) -> List[Extension]:
-    return [s for s in sets
-            if not any(s is not o and s < o for o in sets)]
+class _AdmissibleSearch:
+    """Goal-directed search for admissible sets of one AF, grown from its
+    grounded extension.
+
+    The set S under construction is conflict-free.  Per argument it keeps
+    the number of members it attacks and the number that attack it, so an
+    argument is *open*, an attacker of S that S does not attack, exactly
+    when the first count is positive and the second is zero.  ``blocked``
+    counts the reasons an argument cannot join S: it is a member, attacks
+    or is attacked by a member, attacks itself, or is excluded.  Joins and
+    exclusions go on one trail (an exclusion as ``~i``) and are undone
+    back to a mark.
+    """
+
+    def __init__(self, af: ArgumentationFramework, budget: _Budget):
+        self.af = af
+        n = self.n = len(af)
+        self.attackers = af.attacker_indices()
+        self.targets = af.target_indices()
+        self.tgt_in = [0] * n     # members each argument attacks
+        self.att_in = [0] * n     # members attacking each argument
+        self.blocked = [int(i in ts) for i, ts in enumerate(self.targets)]
+        self.member = bytearray(n)
+        self.open: Set[int] = set()
+        self.trail: List[int] = []
+        self.budget = budget
+        # The sets a result must not lie inside.  Bit k of ``missing[i]`` is
+        # set when argument i is outside the k-th of them, and ``escaped``
+        # holds, per member on the trail, the OR over the members so far:
+        # S lies inside the k-th set iff bit k of ``escaped[-1]`` is clear.
+        self.avoided: List[Set[int]] = []
+        self.missing = [0] * n
+        self.escaped = [0]
+        for i in af.member_indices(grounded_extension(af)):
+            self.join(i)
+
+    def join(self, i: int) -> None:
+        """Add the unblocked argument ``i`` to S."""
+        att_in, tgt_in, blocked, open_ = (self.att_in, self.tgt_in,
+                                          self.blocked, self.open)
+        self.member[i] = 1
+        blocked[i] += 1
+        self.trail.append(i)
+        self.escaped.append(self.escaped[-1] | self.missing[i])
+        for y in self.targets[i]:
+            att_in[y] += 1
+            blocked[y] += 1
+            if att_in[y] == 1 and tgt_in[y]:
+                open_.discard(y)
+        for z in self.attackers[i]:
+            tgt_in[z] += 1
+            blocked[z] += 1
+            if tgt_in[z] == 1 and not att_in[z]:
+                open_.add(z)
+
+    def exclude(self, i: int) -> None:
+        self.blocked[i] += 1
+        self.trail.append(~i)
+
+    def undo_to(self, mark: int) -> None:
+        att_in, tgt_in, blocked, open_, trail = (
+            self.att_in, self.tgt_in, self.blocked, self.open, self.trail)
+        while len(trail) > mark:
+            i = trail.pop()
+            if i < 0:
+                blocked[~i] -= 1
+                continue
+            for z in self.attackers[i]:
+                tgt_in[z] -= 1
+                blocked[z] -= 1
+                if not tgt_in[z] and not att_in[z]:
+                    open_.discard(z)
+            for y in self.targets[i]:
+                att_in[y] -= 1
+                blocked[y] -= 1
+                if not att_in[y] and tgt_in[y]:
+                    open_.add(y)
+            self.member[i] = 0
+            blocked[i] -= 1
+            self.escaped.pop()
+
+    def members(self) -> List[int]:
+        return [i for i in self.trail if i >= 0]
+
+    def seed(self, indices: Iterable[int]) -> bool:
+        """Add ``indices`` to S; False, with S part-grown, when one cannot
+        join."""
+        for i in indices:
+            if self.member[i]:
+                continue
+            if self.blocked[i]:
+                return False
+            self.join(i)
+        return True
+
+    def avoid(self, indices: Iterable[int]) -> None:
+        """From now on, accept no set inside ``indices``, which must hold
+        every current member."""
+        inside = set(indices)
+        bit = 1 << len(self.avoided)
+        self.avoided.append(inside)
+        missing = self.missing
+        for i in range(self.n):
+            if i not in inside:
+                missing[i] |= bit
+
+    def _choices(self) -> Optional[List[int]]:
+        """The arguments to branch on: the unblocked attackers of the open
+        argument with the fewest of them (the lowest index on a tie), else,
+        S being admissible, the unblocked arguments outside the first
+        avoided set holding S.  None when S is admissible and inside no
+        avoided set; an empty list when S cannot be completed."""
+        blocked, attackers = self.blocked, self.attackers
+        best: Optional[List[int]] = None
+        best_b = -1
+        for b in self.open:
+            cands = [c for c in attackers[b] if not blocked[c]]
+            if not cands:
+                return cands
+            if (best is None or len(cands) < len(best)
+                    or (len(cands) == len(best) and b < best_b)):
+                best, best_b = cands, b
+        if best is not None:
+            return best
+        escaped = self.escaped[-1]
+        k = (~escaped & (escaped + 1)).bit_length() - 1
+        if k == len(self.avoided):
+            return None
+        inside = self.avoided[k]
+        return [x for x in range(self.n) if not blocked[x] and x not in inside]
+
+    def admissible(self) -> bool:
+        """Grow S to an admissible set inside no avoided set.
+
+        Every admissible T holding S attacks each open argument b, so it
+        holds an unblocked attacker of b; and T escapes an avoided set
+        holding S through an unblocked argument outside it.  Branch k takes
+        the k-th such argument and excludes those before it, so the
+        branches are disjoint and together cover every T.  Each branch
+        tried ticks the budget.  On failure S is as it was.  On success S
+        is the set found, and the exclusions made on the way stay: each
+        names an earlier sibling whose branch failed, which therefore no
+        admissible superset of S inside no avoided set can hold.
+        """
+        trail, tick = self.trail, self.budget.tick
+        mark = len(trail)
+        choices = self._choices()
+        if choices is None:
+            return True
+        # Iterative DFS: frame = [choices, next choice, trail mark].
+        frames = [[choices, 0, mark]]
+        while frames:
+            frame = frames[-1]
+            choices, k, at = frame
+            self.undo_to(at)
+            if k == len(choices):
+                frames.pop()
+                continue
+            if k:
+                self.exclude(choices[k - 1])
+                frame[2] = len(trail)
+            frame[1] = k + 1
+            tick()
+            self.join(choices[k])
+            nxt = self._choices()
+            if nxt is None:
+                return True
+            if nxt:
+                frames.append([nxt, 0, len(trail)])
+        self.undo_to(mark)
+        return False
+
+    def _close(self) -> None:
+        """Join every argument S defends; S stays admissible (Dung's
+        fundamental lemma), and no node is counted."""
+        att_in, blocked, attackers, targets = (self.att_in, self.blocked,
+                                               self.attackers, self.targets)
+        todo = [a for a in range(self.n) if not blocked[a]]
+        while todo:
+            a = todo.pop()
+            if blocked[a] or not all(att_in[z] for z in attackers[a]):
+                continue
+            self.join(a)
+            # A newly attacked argument's targets may be defended now.
+            for y in targets[a]:
+                if att_in[y] == 1:
+                    todo.extend(targets[y])
+
+    def _maximise(self) -> None:
+        """Grow the admissible S to a preferred extension.
+
+        After the closure, each argument still free is tried once, in index
+        order, and ticks the budget.  One that joins no admissible set
+        holding S stays out for good: S only grows, so it never could.
+        """
+        blocked, trail, tick = self.blocked, self.trail, self.budget.tick
+        self._close()
+        for a in range(self.n):
+            if blocked[a]:
+                continue
+            tick()
+            mark = len(trail)
+            self.join(a)
+            if self.admissible():
+                self._close()
+            else:
+                self.undo_to(mark)
+                self.exclude(a)
+
+    def preferred(self) -> Iterator[Extension]:
+        """Yield the preferred extensions, PrefSAT-style: find an admissible
+        set inside none of those found so far, maximise it, and avoid it
+        from then on, until no such set is left."""
+        base = len(self.trail)
+        while self.admissible():
+            self._maximise()
+            members = self.members()
+            self.avoid(members)
+            yield self.af.names_of(members)
+            self.undo_to(base)
 
 
 def _extensions(sem: Semantics, af: ArgumentationFramework,
@@ -240,18 +473,28 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     semantics is mapped to its algorithm."""
     if sem == Semantics.GR:
         return [grounded_extension(af)]
-    if sem == Semantics.ST:
-        return list(_labellings(af, budget, allow_undec=False))
+    if sem in (Semantics.ST, Semantics.SST, Semantics.STG):
+        stable = list(_labellings(af, budget, allow_undec=False))
+        # When stable extensions exist they are exactly the semi-stable and
+        # the stage ones (Caminada 2006).
+        if sem == Semantics.ST or stable:
+            return stable
     if sem == Semantics.STG:
         candidates = list(_maximal_conflict_free_masks(af, budget))
         ranges = [c | attacked_mask(af, c) for c in candidates]
         widest = _maximal_masks(set(ranges))
         return [af.set_of(c) for c, r in zip(candidates, ranges)
                 if r in widest]
-    complete = list(_labellings(af, budget))
     if sem == Semantics.CO:
-        return complete
-    preferred = _maximal_sets(complete)
+        search = _AdmissibleSearch(af, budget)
+        grounded = search.members()
+        search.avoid(grounded)
+        if not search.admissible():
+            # No admissible set strictly holds the grounded extension, so
+            # no other complete one exists.
+            return [af.names_of(grounded)]
+        return list(_labellings(af, budget))
+    preferred = list(_AdmissibleSearch(af, budget).preferred())
     if sem == Semantics.PR:
         return preferred
     if sem == Semantics.SST:
@@ -372,11 +615,15 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
         af.index_of(query)
 
     if task.problem == "DC":
-        if sem in (Semantics.CO, Semantics.PR, Semantics.ST):
-            # Credulous acceptance under PR coincides with CO: any admissible
-            # set extends to a preferred, hence complete, one.
-            found = _labellings(af, b, [(query, IN)],
-                                allow_undec=sem != Semantics.ST)
+        if sem in (Semantics.CO, Semantics.PR):
+            # Credulous acceptance under CO and PR is membership in some
+            # admissible set, which extends to a preferred, hence complete,
+            # one; every complete set holds the grounded extension.
+            search = _AdmissibleSearch(af, b)
+            return YesNo(search.seed([af.index_of(query)])
+                         and search.admissible())
+        if sem == Semantics.ST:
+            found = _labellings(af, b, [(query, IN)], allow_undec=False)
             return YesNo(next(found, None) is not None)
         return YesNo(any(query in e for e in _extensions(sem, af, b)))
     if task.problem == "DS":
@@ -388,6 +635,10 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
             # Vacuously yes when no stable extension exists.
             found = _labellings(af, b, [(query, OUT)], allow_undec=False)
             return YesNo(next(found, None) is None)
+        if sem == Semantics.PR:
+            # Stops at the first preferred extension without the query.
+            return YesNo(all(query in e for e in
+                             _AdmissibleSearch(af, b).preferred()))
         return YesNo(all(query in e for e in _extensions(sem, af, b)))
     if task.problem == "SE":
         extensions = _extensions(sem, af, b)
@@ -400,21 +651,24 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
 def dominated(sem: Semantics, af: ArgumentationFramework,
               s: Extension) -> bool:
     """Whether some candidate strictly beats the set ``s`` under ``sem``:
-    for PR a complete extension strictly containing ``s``, for SST a
-    complete extension with a strictly wider range, and for STG a maximal
+    for PR an admissible set strictly containing ``s``, for SST a preferred
+    extension with a strictly wider range, and for STG a maximal
     conflict-free set with a strictly wider range.  ``s`` is taken to be
     complete (PR, SST) or conflict-free (STG).  The search stops at the
     first such witness; it is not budgeted.
     """
     sem, budget = Semantics(sem), _Budget(None)
     if sem == Semantics.PR:
-        # Every complete extension holding ``s`` other than ``s`` itself
-        # strictly contains it.
-        return any(c != s for c in _labellings(
-            af, budget, [(a, IN) for a in sorted(s)]))
+        search = _AdmissibleSearch(af, budget)
+        members = af.member_indices(s)
+        search.avoid(members)
+        return search.seed(members) and search.admissible()
     if sem == Semantics.SST:
+        # A complete extension lies inside a preferred one whose range is
+        # at least as wide, so the preferred ones are the candidates.
         r = range_of(af, s)
-        return any(range_of(af, c) > r for c in _labellings(af, budget))
+        return any(range_of(af, p) > r
+                   for p in _AdmissibleSearch(af, budget).preferred())
     if sem == Semantics.STG:
         # Ranges of conflict-free sets are dominated by ranges of maximal
         # ones.

@@ -9,6 +9,7 @@ attacks for byte-stable output.
 
 from __future__ import annotations
 
+import gc
 import re
 from typing import Tuple
 
@@ -38,7 +39,22 @@ def parse_apx(text: str) -> ArgumentationFramework:
     line.  A line yields at most one match, so every line matched iff there
     are as many matches as lines; only otherwise is the text walked line by
     line for the first bad one.
+
+    The cyclic garbage collector is paused for the parse: the strings,
+    tuples and lists it allocates hold no reference cycles, yet on a large
+    file their allocation triggers collections that walk them all again.
+    It is switched back on afterwards only if it was on before.
     """
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse_apx(text)
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+def _parse_apx(text: str) -> ArgumentationFramework:
     body = text
     if any(c in text for c in _OTHER_BREAKS):
         body = "\n".join(text.splitlines())

@@ -39,12 +39,22 @@ class SolverSpec:
 
     @staticmethod
     def from_dict(data: dict) -> "SolverSpec":
+        """Build a descriptor from its JSON object; ``command``, ``formats``
+        and ``tasks`` must be lists of strings, never a bare string, which
+        ``tuple`` would split into characters."""
         return SolverSpec(
             solver_id=data["id"],
-            command=tuple(data["command"]),
-            formats=tuple(data.get("formats", ("apx", "tgf"))),
-            tasks=tuple(data.get("tasks", ("*",))),
+            command=_strings("command", data["command"]),
+            formats=_strings("formats", data.get("formats", ("apx", "tgf"))),
+            tasks=_strings("tasks", data.get("tasks", ("*",))),
         )
+
+
+def _strings(key: str, value) -> Tuple[str, ...]:
+    if not (isinstance(value, (list, tuple))
+            and all(isinstance(v, str) for v in value)):
+        raise TypeError(f"{key!r} is not a list of strings: {value!r}")
+    return tuple(value)
 
 
 def load_roster(path) -> List[SolverSpec]:

@@ -354,7 +354,15 @@ class TestOutsideInputErrors:
         ([{"id": "s"}], "has no 'command' key"),
         ({"id": "s", "command": ["true"]}, "not a list of solver descriptors"),
         ([{"id": "s", "command": 7}], "not a list of solver descriptors"),
-    ], ids=["no-id", "no-command", "not-a-list", "command-not-a-list"])
+        ([{"id": "s", "command": "python3"}], "'command' is not a list"),
+        ([{"id": "s", "command": ["python3"], "formats": "apx"}],
+         "'formats' is not a list"),
+        ([{"id": "s", "command": ["python3"], "tasks": "EE-PR"}],
+         "'tasks' is not a list"),
+        ([{"id": "s", "command": ["python3", 3]}], "'command' is not a list"),
+    ], ids=["no-id", "no-command", "not-a-list", "command-not-a-list",
+            "command-string", "formats-string", "tasks-string",
+            "command-not-strings"])
     def test_roster_entry_without_a_field_is_named(self, capsys, tmp_path,
                                                    entries, message):
         roster = tmp_path / "roster.json"

@@ -6,7 +6,8 @@ import pytest
 from afkit import engine, oracle
 from afkit.core import ArgumentationFramework
 from afkit.errors import BudgetExceededError
-from afkit.generators import ErdosRenyi, WattsStrogatz, gen_erdos, gen_watts
+from afkit.generators import (ErdosRenyi, WattsStrogatz, gen_admbuster,
+                              gen_erdos, gen_sembuster, gen_watts)
 from afkit.rng import SeededRng
 from afkit.tasks import (AllExtensions, OneExtension, Semantics, Triathlon,
                          YesNo, all_task_names, parse_task)
@@ -74,6 +75,21 @@ def test_dominated_stops_at_its_first_witness(monkeypatch, sem):
     monkeypatch.setattr(engine, "_Budget", capped)
     assert engine.dominated(sem, af, frozenset())
     assert len(budgets) == 1 and budgets[0].remaining >= 0
+
+
+@pytest.mark.parametrize("af", [gen_admbuster(2000), gen_sembuster(6)],
+                         ids=["admbuster-2000", "sembuster-6"])
+def test_preferred_tasks_build_no_per_argument_masks(monkeypatch, af):
+    # Masks cost O(n^2) bits; the searches work on adjacency lists only.
+    def refuse(self):
+        raise AssertionError("per-argument bitmasks were built")
+
+    monkeypatch.setattr(ArgumentationFramework, "attacker_masks", refuse)
+    monkeypatch.setattr(ArgumentationFramework, "target_masks", refuse)
+    query = af.args[len(af) // 2]
+    for name in ("EE-PR", "DC-PR", "DS-PR", "SE-ID", "EE-CO", "D3"):
+        task = parse_task(name, query if name[:2] in ("DC", "DS") else None)
+        engine.solve_optimized(task, af)
 
 
 def _random_afs(count, max_args, seed):

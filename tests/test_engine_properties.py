@@ -7,17 +7,22 @@ chains of such SCCs, plus a few stray attacks.
 * Every labelling the search reports satisfies the three labelling
   conditions.  The search itself never re-checks a leaf: ``assign`` keeps
   the conditions as an invariant, and this test is where they are checked.
+* The admissible search finds an admissible superset of a conflict-free
+  seed, inside none of the sets it avoids, exactly when the oracle has one.
+* The tasks built on the admissible search, and those that collapse to
+  stable semantics, agree with the oracle.
 * Renaming and reordering the arguments changes no answer of any task.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit import engine, oracle
-from afkit.core import ArgumentationFramework, has_full_range, is_complete
+from afkit.core import (ArgumentationFramework, has_full_range,
+                        is_admissible, is_complete, is_conflict_free)
 from afkit.engine import IN, OUT, UNDEC
 from afkit.tasks import (AllExtensions, OneExtension, Semantics, Triathlon,
-                         YesNo, all_task_names, parse_task)
+                         YesNo, all_task_names, parse_task, sorted_members)
 
 LABELS = (IN, OUT, UNDEC)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
@@ -111,6 +116,111 @@ def test_every_reported_leaf_is_a_labelling(case):
     expected = [e for e in oracle.oracle_enumerate(sem, af)
                 if _fits(af, e, forced)]
     assert sorted(map(sorted, reported)) == sorted(map(sorted, expected))
+
+
+# ---------------------------------------------------------------------------
+# The admissible search and the tasks built on it
+
+@st.composite
+def admissible_searches(draw):
+    """A framework, a conflict-free seed set, and complete extensions for
+    the search to avoid (each holds the grounded extension, as ``avoid``
+    requires)."""
+    af = draw(structured_afs())
+    seed = set()
+    for a in draw(st.lists(st.sampled_from(af.args), unique=True,
+                           max_size=2)):
+        if is_conflict_free(af, seed | {a}):
+            seed.add(a)
+    complete = oracle.oracle_enumerate(Semantics.CO, af)
+    avoided = draw(st.lists(st.sampled_from(complete), unique=True,
+                            max_size=3))
+    return af, frozenset(seed), avoided
+
+
+@SETTINGS
+@given(admissible_searches())
+def test_admissible_search_is_sound_and_complete(case):
+    # The drawn seed is tried as it is and with each argument added.
+    af, seed, avoided = case
+    admissible = oracle.admissible_sets(af)
+    for extra in [frozenset()] + [frozenset([a]) for a in af.args]:
+        goal = seed | extra
+        if not is_conflict_free(af, goal):
+            continue
+        search = engine._AdmissibleSearch(af, engine._Budget(None))
+        for ext in avoided:
+            search.avoid(af.member_indices(ext))
+        found = (search.seed(af.member_indices(goal))
+                 and search.admissible())
+        expected = [t for t in admissible
+                    if goal <= t and not any(t <= e for e in avoided)]
+        assert found == bool(expected), (sorted(goal), sorted(af.attacks))
+        if found:
+            got = af.names_of(search.members())
+            assert is_admissible(af, got) and goal <= got
+            assert not any(got <= e for e in avoided)
+
+
+def _matches_oracle(af, sems, tasks):
+    """Every listed task agrees with the answer derived from the oracle's
+    extensions of ``sems``, each enumerated once."""
+    exts = {sem: oracle.oracle_enumerate(sem, af) for sem in sems}
+    for name in tasks:
+        sem = Semantics(name[3:]) if name != "D3" else None
+        if name.startswith(("DC", "DS")):
+            for q in af.args:
+                want = (any if name.startswith("DC") else all)(
+                    q in e for e in exts[sem])
+                got = engine.solve_optimized(parse_task(name, q), af)
+                assert got == YesNo(want), (name, q, sorted(af.attacks))
+            continue
+        got = engine.solve_optimized(parse_task(name), af)
+        if name == "D3":
+            want = Triathlon.of(exts[Semantics.GR], exts[Semantics.ST],
+                                exts[Semantics.PR])
+        elif name.startswith("EE"):
+            want = AllExtensions(exts[sem])
+        else:
+            want = OneExtension(min(exts[sem], key=sorted_members)
+                                if exts[sem] else None)
+        assert got == want, (name, sorted(af.attacks))
+    return exts
+
+
+@SETTINGS
+@given(structured_afs())
+def test_admissible_search_tasks_match_the_oracle(af):
+    exts = _matches_oracle(
+        af, list(Semantics),
+        ("EE-CO", "SE-CO", "DC-CO", "EE-PR", "SE-PR", "DC-PR", "DS-PR",
+         "EE-SST", "SE-SST", "DC-SST", "DS-SST", "SE-ID", "DC-ID", "D3"))
+    for ext in exts[Semantics.CO]:
+        for sem in (Semantics.PR, Semantics.SST):
+            assert engine.dominated(sem, af, ext) == (ext not in exts[sem]), \
+                (sem, sorted(ext), sorted(af.attacks))
+
+
+@st.composite
+def stable_afs(draw):
+    """Structured frameworks with at least one stable extension: each
+    argument may get an unattacked attacker of its own, which breaks the
+    odd cycles and self-attackers that would leave no stable extension."""
+    af = draw(structured_afs(max_args=6))
+    killers = [(f"k{i}", a) for i, a in enumerate(af.args)
+               if draw(st.booleans())]
+    out = ArgumentationFramework(list(af.args) + [k for k, _ in killers],
+                                 set(af.attacks) | set(killers))
+    assume(oracle.oracle_enumerate(Semantics.ST, out))
+    return out
+
+
+@SETTINGS
+@given(stable_afs())
+def test_stable_collapse_matches_the_oracle(af):
+    _matches_oracle(af, (Semantics.SST, Semantics.STG),
+                    ("EE-SST", "SE-SST", "DC-SST", "DS-SST",
+                     "EE-STG", "SE-STG", "DC-STG", "DS-STG"))
 
 
 # ---------------------------------------------------------------------------

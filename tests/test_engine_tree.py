@@ -78,7 +78,8 @@ def _frameworks():
         afs[f"{family}/12"] = _preset(family, 12)
     for name in RUNG1_NODES:
         family, _, n = name.partition("/")
-        afs[name] = _preset(family, int(n))
+        afs[name] = (gen_sembuster(int(n)) if family == "sembuster"
+                     else _preset(family, int(n)))
     afs.update(_hand_built())
     return afs
 
@@ -86,55 +87,56 @@ def _frameworks():
 # Nodes expanded per (framework, task); a DC or DS query is the framework's
 # middle argument.  Tasks left out of a row expand no node at all.
 NODES = {
-    "admbuster/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
+    "admbuster/12": {},
     "sembuster/4": {
-        "DC-CO": 3, "SE-CO": 804, "EE-CO": 804, "DC-PR": 3, "DS-PR": 804,
-        "SE-PR": 804, "EE-PR": 804, "DC-ST": 2, "DS-ST": 18, "SE-ST": 22,
-        "EE-ST": 22, "DC-SST": 804, "DS-SST": 804, "SE-SST": 804,
-        "EE-SST": 804, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9, "EE-STG": 9,
-        "DC-ID": 804, "SE-ID": 804, "D3": 826},
-    "grounded/12": {"DC-STG": 53, "DS-STG": 53, "SE-STG": 53, "EE-STG": 53},
-    "scc/12": {"DC-STG": 19, "DS-STG": 19, "SE-STG": 19, "EE-STG": 19},
-    "stable/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
+        "SE-CO": 805, "EE-CO": 805, "DS-PR": 1, "SE-PR": 15, "EE-PR": 15,
+        "DC-ST": 2, "DS-ST": 18, "SE-ST": 22, "EE-ST": 22, "DC-SST": 22,
+        "DS-SST": 22, "SE-SST": 22, "EE-SST": 22, "DC-STG": 22, "DS-STG": 22,
+        "SE-STG": 22, "EE-STG": 22, "DC-ID": 15, "SE-ID": 15, "D3": 37},
+    "grounded/12": {},
+    "scc/12": {},
+    "stable/12": {},
     "erdos/12": {
-        "DC-CO": 93, "SE-CO": 717, "EE-CO": 717, "DC-PR": 93, "DS-PR": 717,
-        "SE-PR": 717, "EE-PR": 717, "DC-ST": 8, "DS-ST": 12, "SE-ST": 12,
-        "EE-ST": 12, "DC-SST": 717, "DS-SST": 717, "SE-SST": 717,
-        "EE-SST": 717, "DC-STG": 20, "DS-STG": 20, "SE-STG": 20, "EE-STG": 20,
-        "DC-ID": 717, "SE-ID": 717, "D3": 729},
-    "watts/12": {"DC-STG": 48, "DS-STG": 48, "SE-STG": 48, "EE-STG": 48},
-    "barabasi/12": {"DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39},
+        "DC-CO": 4, "SE-CO": 16, "EE-CO": 16, "DC-PR": 4, "DS-PR": 16,
+        "SE-PR": 32, "EE-PR": 32, "DC-ST": 8, "DS-ST": 12, "SE-ST": 12,
+        "EE-ST": 12, "DC-SST": 44, "DS-SST": 44, "SE-SST": 44, "EE-SST": 44,
+        "DC-STG": 32, "DS-STG": 32, "SE-STG": 32, "EE-STG": 32, "DC-ID": 32,
+        "SE-ID": 32, "D3": 44},
+    "watts/12": {},
+    "barabasi/12": {},
     "example1": {
-        "SE-CO": 45, "EE-CO": 45, "DS-PR": 45, "SE-PR": 45, "EE-PR": 45,
-        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 45, "DS-SST": 45,
-        "SE-SST": 45, "EE-SST": 45, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9,
-        "EE-STG": 9, "DC-ID": 45, "SE-ID": 45, "D3": 51},
+        "SE-CO": 46, "EE-CO": 46, "DS-PR": 5, "SE-PR": 11, "EE-PR": 11,
+        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 17, "DS-SST": 17,
+        "SE-SST": 17, "EE-SST": 17, "DC-STG": 15, "DS-STG": 15, "SE-STG": 15,
+        "EE-STG": 15, "DC-ID": 11, "SE-ID": 11, "D3": 17},
     "pairs_triangle": {
-        "DC-CO": 11, "SE-CO": 321, "EE-CO": 321, "DC-PR": 11, "DS-PR": 321,
-        "SE-PR": 321, "EE-PR": 321, "DC-ST": 14, "DS-ST": 14, "SE-ST": 30,
-        "EE-ST": 30, "DC-SST": 321, "DS-SST": 321, "SE-SST": 321,
-        "EE-SST": 321, "DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39,
-        "DC-ID": 321, "SE-ID": 321, "D3": 351},
+        "SE-CO": 322, "EE-CO": 322, "DS-PR": 24, "SE-PR": 187, "EE-PR": 187,
+        "DC-ST": 14, "DS-ST": 14, "SE-ST": 30, "EE-ST": 30, "DC-SST": 217,
+        "DS-SST": 217, "SE-SST": 217, "EE-SST": 217, "DC-STG": 69,
+        "DS-STG": 69, "SE-STG": 69, "EE-STG": 69, "DC-ID": 187, "SE-ID": 187,
+        "D3": 217},
     "scc_chain": {
-        "SE-CO": 63, "EE-CO": 63, "DS-PR": 63, "SE-PR": 63, "EE-PR": 63,
-        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 63, "DS-SST": 63,
-        "SE-SST": 63, "EE-SST": 63, "DC-STG": 21, "DS-STG": 21, "SE-STG": 21,
-        "EE-STG": 21, "DC-ID": 63, "SE-ID": 63, "D3": 69},
+        "DC-CO": 1, "SE-CO": 65, "EE-CO": 65, "DC-PR": 1, "DS-PR": 2,
+        "SE-PR": 20, "EE-PR": 20, "DS-ST": 4, "SE-ST": 6, "EE-ST": 6,
+        "DC-SST": 26, "DS-SST": 26, "SE-SST": 26, "EE-SST": 26, "DC-STG": 27,
+        "DS-STG": 27, "SE-STG": 27, "EE-STG": 27, "DC-ID": 20, "SE-ID": 20,
+        "D3": 26},
     "self_attacks": {
-        "DC-CO": 9, "SE-CO": 30, "EE-CO": 30, "DC-PR": 9, "DS-PR": 30,
-        "SE-PR": 30, "EE-PR": 30, "DC-ST": 2, "DS-ST": 2, "SE-ST": 2,
-        "EE-ST": 2, "DC-SST": 30, "DS-SST": 30, "SE-SST": 30, "EE-SST": 30,
-        "DC-STG": 8, "DS-STG": 8, "SE-STG": 8, "EE-STG": 8, "DC-ID": 30,
-        "SE-ID": 30, "D3": 32},
+        "SE-CO": 34, "EE-CO": 34, "DS-PR": 4, "SE-PR": 7, "EE-PR": 7,
+        "DC-ST": 2, "DS-ST": 2, "SE-ST": 2, "EE-ST": 2, "DC-SST": 9,
+        "DS-SST": 9, "SE-SST": 9, "EE-SST": 9, "DC-STG": 10, "DS-STG": 10,
+        "SE-STG": 10, "EE-STG": 10, "DC-ID": 7, "SE-ID": 7, "D3": 9},
 }
 
 # Rung-1 cells the engine finishes well inside the bench ladder's budget;
 # only the listed tasks are pinned, the others run out of budget there.
 RUNG1_NODES = {
-    "scc/100": {"DC-CO": 12, "DC-PR": 12, "DC-ST": 12, "DS-ST": 17},
+    "scc/100": {"DC-CO": 2, "DC-PR": 2, "DC-ST": 12, "DS-ST": 17},
+    "sembuster/20": {"EE-PR": 231},
     "erdos/60": {"DC-ST": 56, "DS-ST": 462, "SE-ST": 502, "EE-ST": 502,
-                 "EE-STG": 1890},
-    "watts/100": {"DC-ST": 424, "DS-ST": 704, "SE-ST": 706, "EE-ST": 706},
+                 "EE-STG": 2392, "EE-PR": 308},
+    "watts/100": {"DC-ST": 424, "DS-ST": 704, "SE-ST": 706, "EE-ST": 706,
+                  "DS-PR": 142},
 }
 FRAMEWORKS = _frameworks()
 
