@@ -2,7 +2,7 @@
 
 Frameworks and semantics predicates (``core``), the 25-task catalog
 (``tasks``), an exhaustive ground-truth oracle (``oracle``) and an optimized
-labelling search engine (``engine``), extension verification (``verify``),
+search engine (``engine``), extension verification (``verify``),
 instance and answer formats (``formats``, ``solutions``), benchmark
 generators (``generators``), and a solver-competition harness (``harness``).
 """

@@ -1,58 +1,49 @@
-"""Optimized task engine: two backtracking searches over index-level state.
+"""Optimized task engine: one backtracking search over index-level state.
 
-The labelling search enumerates complete (or stable) extensions as
-three-valued labellings (IN / OUT / UNDEC).  A labelling is complete when
-every argument meets its condition:
+The search is goal-directed (the argument game of Nofal, Atkinson & Dunne,
+AIJ 2014).  It grows a conflict-free set S from the grounded extension,
+which every complete set holds, and branches on which argument joins S
+next: later siblings exclude the earlier candidates, so the branches are
+disjoint and no set is reached twice.  Each branch tried ticks one node
+budget.  Three modes differ only in what must hold at a leaf and which
+arguments are branched on before it:
 
-* IN: every attacker is OUT;
-* OUT: some attacker is IN;
-* UNDEC: no attacker is IN and not every attacker is OUT.
-
-It keeps per-argument counts of IN, OUT and UNDEC attackers and propagates
-each assignment through them.  ``assign`` rejects an assignment that breaks
-a condition as soon as the counts decide it: IN next to an IN or UNDEC
-attacker, an IN attacker next to anything but OUT, UNDEC next to an IN
-attacker or with every attacker OUT, and OUT once its attackers are all
-labelled and none is IN.  Arguments whose attackers are all OUT are forced
-IN, and the neighbours of IN arguments are forced OUT.  So at a leaf, where
-every argument is labelled, each condition has been checked at the moment
-its last input was labelled, and the leaf is reported without re-scanning
-the framework.  The grounded fixed point is computed first and frozen into
-every search.
-
-The admissible search is goal-directed (the argument game of Nofal,
-Atkinson & Dunne, AIJ 2014).  It grows a conflict-free set S from the
-grounded extension: while some attacker of S is not attacked by S, it
-branches on which attacker of it joins S, taking the attacker with the
-fewest candidates first, and later siblings exclude earlier candidates, so
-the branches are disjoint.  It decides whether an admissible set holds S
-and lies inside none of a list of avoided sets.  Preferred extensions are
-enumerated on it as PrefSAT does (Cerutti et al. 2014): find an admissible
-set inside none of the extensions found so far, grow it to a maximal one,
-avoid that from then on.  Both searches tick one node budget per branch
-tried, and neither builds per-argument bitmasks.
+* admissible: while some attacker of S is not attacked by S, the branches
+  are the candidates to attack it, for the attacker with the fewest.  It
+  decides whether an admissible set holds S and lies inside none of a list
+  of avoided sets.  Preferred extensions are enumerated on it as PrefSAT
+  does (Cerutti et al. 2014): find an admissible set inside none of the
+  extensions found so far, grow it to a maximal one, avoid that from then
+  on.
+* stable, by covering: while some argument outside S is not attacked by S,
+  the branches are that argument and its attackers, for the argument with
+  the fewest candidates.  A conflict-free set that attacks every argument
+  outside it is stable (Caminada 2006), so a leaf needs no defence check.
+* complete, by closing: at each admissible S it joins, without a tick,
+  every argument S defends, and fails if one of them is excluded.  S is
+  then complete and is yielded; the branches over the free arguments lead
+  on to its strict supersets.
 
 Every search is a generator: it yields each answer as it reaches it, and
 the consumer decides when to stop by how much it draws.  Enumeration draws
-everything, a decision draws at most one answer.
+everything, a decision draws at most one answer.  The search builds no
+per-argument bitmasks.
 
 ``_extensions`` is the one place where a semantics meets its algorithm.
-Grounded is the fixed point itself; stable labellings are searched with
-UNDEC disabled; preferred come from the admissible search, and both
-semi-stable (the range-maximal preferred) and ideal (the intersection of
-the preferred, shrunk to a fixed point of the defense check) are derived
-from that one preferred list.  Semi-stable and stage are the stable
-extensions whenever there are any; otherwise stage extensions are the
-range-maximal maximal conflict-free sets, enumerated and filtered as
-bitmasks.  Complete extensions are the grounded one alone when no
-admissible set strictly holds it, and come from the labelling search
-otherwise.  D3 is grounded, stable and preferred under one budget.  The
-decision shortcuts: DC-CO and DC-PR are one admissible search from the
-grounded extension and the query, DS-PR stops at the first preferred
-extension without the query, DC-ST and DS-ST draw at most one answer from
-a search with the query's label forced, and DS-CO is grounded membership.
-``dominated`` is the comparison that ``verify`` needs for PR, SST and STG;
-it stops at the first candidate that beats the set.
+Grounded is the fixed point itself; complete, stable and preferred come
+from the search; semi-stable (the range-maximal preferred) and ideal (the
+intersection of the preferred, shrunk to a fixed point of the defense
+check) are derived from the one preferred list.  Semi-stable and stage are
+the stable extensions whenever there are any; otherwise stage extensions
+are the range-maximal maximal conflict-free sets, enumerated by
+Bron-Kerbosch and filtered as bitmasks.  D3 is grounded, stable and
+preferred under one budget.  The decision shortcuts: DC-CO and DC-PR are
+one admissible search from the grounded extension and the query, DS-PR
+stops at the first preferred extension without the query, DC-ST seeds the
+covering search with the query and DS-ST excludes it, each drawing at most
+one answer, and DS-CO is grounded membership.  ``dominated`` is the
+comparison that ``verify`` needs for PR, SST and STG; it stops at the
+first candidate that beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -60,7 +51,7 @@ canonical tie-break for SE (lexicographically least sorted member list).
 
 from __future__ import annotations
 
-from itertools import compress
+from itertools import filterfalse
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (ArgumentationFramework, attacked_mask, bits,
@@ -71,8 +62,6 @@ from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
 
 Extension = FrozenSet[str]
 
-FREE, IN, OUT, UNDEC = 0, 1, 2, 3
-
 
 class _Budget:
     """Optional node-expansion budget shared across the phases of one solve."""
@@ -82,181 +71,28 @@ class _Budget:
     def __init__(self, limit: Optional[int]):
         self.remaining = limit
 
-    def tick(self, amount: int = 1) -> None:
+    def tick(self) -> None:
         if self.remaining is None:
             return
-        self.remaining -= amount
+        self.remaining -= 1
         if self.remaining < 0:
             raise BudgetExceededError("node-expansion budget exhausted")
 
 
-class _LabellingSearch:
-    """Backtracking search over complete (or stable) labellings of one AF."""
-
-    def __init__(self, af: ArgumentationFramework, budget: _Budget):
-        self.af = af
-        self.n = len(af)
-        self.attackers = af.attacker_indices()
-        self.targets = af.target_indices()
-        self.att_total = [len(a) for a in self.attackers]
-        self.lab = [FREE] * self.n
-        self.att_in = [0] * self.n
-        self.att_out = [0] * self.n
-        self.att_undec = [0] * self.n
-        # Attacker counters indexed by label, so a label picks its counter.
-        self.counters = (None, self.att_in, self.att_out, self.att_undec)
-        self.trail: List[int] = []
-        self.budget = budget
-
-    def assign(self, pairs: Iterable[Tuple[int, int]]) -> bool:
-        """Apply assignments plus propagation; False on conflict.
-
-        Every committed assignment lands on the trail; callers snapshot the
-        trail length beforehand and undo back to it.  An OUT argument is a
-        dead end once it has no IN attacker and no free one, that is, when
-        its OUT and UNDEC attackers are all of them.
-        """
-        queue = list(pairs)
-        lab, trail, counters = self.lab, self.trail, self.counters
-        att_in, att_out, att_undec = self.att_in, self.att_out, self.att_undec
-        att_total, attackers, targets = (self.att_total, self.attackers,
-                                         self.targets)
-        while queue:
-            i, want = queue.pop()
-            cur = lab[i]
-            if cur != FREE:
-                if cur == want:
-                    continue
-                return False
-            if want == IN:
-                if att_in[i] or att_undec[i]:
-                    return False
-            elif want == OUT:
-                if not att_in[i] and att_out[i] + att_undec[i] == att_total[i]:
-                    return False
-            elif att_in[i] or att_out[i] == att_total[i]:  # UNDEC
-                return False
-            lab[i] = want
-            trail.append(i)
-            ts = targets[i]
-            # Counters first, checks second: undo_to always decrements the
-            # full target list, so increments must never stop halfway.
-            counter = counters[want]
-            for y in ts:
-                counter[y] += 1
-            if want == IN:
-                for z in attackers[i]:
-                    if lab[z] == FREE:
-                        queue.append((z, OUT))
-                    elif lab[z] != OUT:
-                        return False
-                for y in ts:
-                    if lab[y] == FREE:
-                        queue.append((y, OUT))
-                    elif lab[y] != OUT:
-                        return False
-            elif want == OUT:
-                for y in ts:
-                    if att_out[y] == att_total[y]:
-                        if lab[y] == FREE:
-                            queue.append((y, IN))
-                        elif lab[y] != IN:
-                            return False
-                    elif (lab[y] == OUT and not att_in[y]
-                          and att_out[y] + att_undec[y] == att_total[y]):
-                        return False
-            else:  # UNDEC
-                for y in ts:
-                    if lab[y] == IN:
-                        return False
-                    if (lab[y] == OUT and not att_in[y]
-                            and att_out[y] + att_undec[y] == att_total[y]):
-                        return False
-        return True
-
-    def undo_to(self, mark: int) -> None:
-        lab, trail, counters, targets = (self.lab, self.trail, self.counters,
-                                         self.targets)
-        while len(trail) > mark:
-            i = trail.pop()
-            counter = counters[lab[i]]
-            lab[i] = FREE
-            for y in targets[i]:
-                counter[y] -= 1
-
-    def _first_free(self, start: int) -> int:
-        lab = self.lab
-        for i in range(start, self.n):
-            if lab[i] == FREE:
-                return i
-        return -1
-
-    def in_set(self) -> Extension:
-        return frozenset(compress(self.af.args, map(IN.__eq__, self.lab)))
-
-    def solutions(self, forced: Iterable[Tuple[int, int]] = (),
-                  allow_undec: bool = True) -> Iterator[Extension]:
-        """Yield the IN set of each labelling, in search order.
-
-        The grounded labelling is installed first: its IN set is part of every
-        complete labelling, so conflicts with ``forced`` prune immediately.
-        Every leaf is a labelling: ``assign`` keeps the labelling conditions
-        as an invariant, so a leaf needs no second check.  While suspended at
-        a yield, ``lab`` holds the leaf's labelling; the consumer ends the
-        search by drawing no further.
-        """
-        seed = [(self.af.index_of(a), IN) for a in grounded_extension(self.af)]
-        if not self.assign(list(forced) + seed):
-            return
-        labels = (IN, OUT, UNDEC) if allow_undec else (IN, OUT)
-        first = self._first_free(0)
-        if first < 0:
-            yield self.in_set()
-            return
-        assign, undo_to, first_free = self.assign, self.undo_to, self._first_free
-        tick, trail, n_labels = self.budget.tick, self.trail, len(labels)
-        # Iterative DFS: frame = [variable, next label index, trail mark].
-        frames: List[List[int]] = [[first, 0, len(trail)]]
-        while frames:
-            frame = frames[-1]
-            var, li, mark = frame
-            undo_to(mark)
-            if li == n_labels:
-                frames.pop()
-                continue
-            frame[1] = li + 1
-            tick()
-            if not assign(((var, labels[li]),)):
-                continue
-            nxt = first_free(var + 1)
-            if nxt < 0:
-                yield self.in_set()
-                continue
-            frames.append([nxt, 0, len(trail)])
-
-
-def _labellings(af: ArgumentationFramework, budget: _Budget,
-                forced: Iterable[Tuple[str, int]] = (),
-                allow_undec: bool = True) -> Iterator[Extension]:
-    """The IN sets of the complete (stable unless ``allow_undec``)
-    labellings of ``af`` that give each named argument its ``forced``
-    label, searched lazily."""
-    return _LabellingSearch(af, budget).solutions(
-        [(af.index_of(a), label) for a, label in forced], allow_undec)
-
-
 class _AdmissibleSearch:
-    """Goal-directed search for admissible sets of one AF, grown from its
+    """Goal-directed search over the conflict-free supersets of one AF's
     grounded extension.
 
     The set S under construction is conflict-free.  Per argument it keeps
     the number of members it attacks and the number that attack it, so an
-    argument is *open*, an attacker of S that S does not attack, exactly
-    when the first count is positive and the second is zero.  ``blocked``
-    counts the reasons an argument cannot join S: it is a member, attacks
-    or is attacked by a member, attacks itself, or is excluded.  Joins and
-    exclusions go on one trail (an exclusion as ``~i``) and are undone
-    back to a mark.
+    argument is *uncovered*, outside S and not attacked by S, exactly when
+    it is no member and the second count is zero, and *open*, an uncovered
+    attacker of S, when the first count is positive too.  The open
+    arguments are kept as a set, and so are the uncovered ones once a
+    covering walk starts.  ``blocked`` counts the reasons an argument
+    cannot join S: it is a member, attacks or is attacked by a member,
+    attacks itself, or is excluded.  Joins and exclusions go on one trail
+    (an exclusion as ``~i``) and are undone back to a mark.
     """
 
     def __init__(self, af: ArgumentationFramework, budget: _Budget):
@@ -269,6 +105,7 @@ class _AdmissibleSearch:
         self.blocked = [int(i in ts) for i, ts in enumerate(self.targets)]
         self.member = bytearray(n)
         self.open: Set[int] = set()
+        self.uncovered: Optional[Set[int]] = None
         self.trail: List[int] = []
         self.budget = budget
         # The sets a result must not lie inside.  Bit k of ``missing[i]`` is
@@ -283,13 +120,17 @@ class _AdmissibleSearch:
 
     def join(self, i: int) -> None:
         """Add the unblocked argument ``i`` to S."""
-        att_in, tgt_in, blocked, open_ = (self.att_in, self.tgt_in,
-                                          self.blocked, self.open)
+        att_in, tgt_in, blocked, open_, uncovered = (
+            self.att_in, self.tgt_in, self.blocked, self.open, self.uncovered)
         self.member[i] = 1
         blocked[i] += 1
         self.trail.append(i)
         self.escaped.append(self.escaped[-1] | self.missing[i])
-        for y in self.targets[i]:
+        ts = self.targets[i]
+        if uncovered is not None:
+            uncovered.discard(i)
+            uncovered.difference_update(ts)
+        for y in ts:
             att_in[y] += 1
             blocked[y] += 1
             if att_in[y] == 1 and tgt_in[y]:
@@ -305,8 +146,9 @@ class _AdmissibleSearch:
         self.trail.append(~i)
 
     def undo_to(self, mark: int) -> None:
-        att_in, tgt_in, blocked, open_, trail = (
-            self.att_in, self.tgt_in, self.blocked, self.open, self.trail)
+        att_in, tgt_in, blocked, open_, uncovered, trail = (
+            self.att_in, self.tgt_in, self.blocked, self.open, self.uncovered,
+            self.trail)
         while len(trail) > mark:
             i = trail.pop()
             if i < 0:
@@ -317,11 +159,15 @@ class _AdmissibleSearch:
                 blocked[z] -= 1
                 if not tgt_in[z] and not att_in[z]:
                     open_.discard(z)
-            for y in self.targets[i]:
+            ts = self.targets[i]
+            for y in ts:
                 att_in[y] -= 1
                 blocked[y] -= 1
                 if not att_in[y] and tgt_in[y]:
                     open_.add(y)
+            if uncovered is not None:
+                uncovered.update(filterfalse(att_in.__getitem__, ts))
+                uncovered.add(i)
             self.member[i] = 0
             blocked[i] -= 1
             self.escaped.pop()
@@ -351,17 +197,20 @@ class _AdmissibleSearch:
             if i not in inside:
                 missing[i] |= bit
 
-    def _choices(self) -> Optional[List[int]]:
-        """The arguments to branch on: the unblocked attackers of the open
-        argument with the fewest of them (the lowest index on a tie), else,
-        S being admissible, the unblocked arguments outside the first
-        avoided set holding S.  None when S is admissible and inside no
-        avoided set; an empty list when S cannot be completed."""
+    def _choices(self, pool: Set[int]) -> Optional[List[int]]:
+        """The arguments to branch on: for the argument b of ``pool`` (the
+        open or the uncovered ones) with the fewest candidates, the lowest
+        index on a tie, the unblocked ones among b and its attackers; else
+        the unblocked arguments outside the first avoided set holding S.
+        None when ``pool`` is empty and S is inside no avoided set; an
+        empty list when S cannot be completed."""
         blocked, attackers = self.blocked, self.attackers
         best: Optional[List[int]] = None
         best_b = -1
-        for b in self.open:
+        for b in pool:
             cands = [c for c in attackers[b] if not blocked[c]]
+            if not blocked[b]:
+                cands.append(b)
             if not cands:
                 return cands
             if (best is None or len(cands) < len(best)
@@ -376,62 +225,104 @@ class _AdmissibleSearch:
         inside = self.avoided[k]
         return [x for x in range(self.n) if not blocked[x] and x not in inside]
 
-    def admissible(self) -> bool:
-        """Grow S to an admissible set inside no avoided set.
+    def _walk(self, pool: Set[int], closing: bool = False) -> Iterator[None]:
+        """Walk S's supersets depth first, suspended at each one accepted.
 
         Every admissible T holding S attacks each open argument b, so it
-        holds an unblocked attacker of b; and T escapes an avoided set
+        holds an unblocked attacker of b; a stable T holds b or one of its
+        attackers for each uncovered b; and T escapes an avoided set
         holding S through an unblocked argument outside it.  Branch k takes
         the k-th such argument and excludes those before it, so the
         branches are disjoint and together cover every T.  Each branch
-        tried ticks the budget.  On failure S is as it was.  On success S
-        is the set found, and the exclusions made on the way stay: each
-        names an earlier sibling whose branch failed, which therefore no
-        admissible superset of S inside no avoided set can hold.
+        tried ticks the budget.  S is accepted when ``_choices(pool)`` is
+        None.  A closing walk first joins what S defends, accepts S only
+        if ``_close`` succeeds, and then branches over the free arguments
+        towards S's strict supersets.  While suspended, S is the set
+        accepted; when the walk ends, S and the exclusions are as they
+        were.
         """
-        trail, tick = self.trail, self.budget.tick
+        trail, tick, blocked = self.trail, self.budget.tick, self.blocked
         mark = len(trail)
-        choices = self._choices()
-        if choices is None:
-            return True
         # Iterative DFS: frame = [choices, next choice, trail mark].
-        frames = [[choices, 0, mark]]
-        while frames:
-            frame = frames[-1]
-            choices, k, at = frame
-            self.undo_to(at)
-            if k == len(choices):
+        frames: List[list] = []
+        choices = self._choices(pool)
+        while True:
+            if choices is None and (not closing or self._close()):
+                yield
+                if closing:
+                    choices = [a for a in range(self.n) if not blocked[a]]
+            if choices:
+                frames.append([choices, 0, len(trail)])
+            while frames:
+                frame = frames[-1]
+                choices, k, at = frame
+                self.undo_to(at)
+                if k < len(choices):
+                    break
                 frames.pop()
-                continue
+            else:
+                self.undo_to(mark)
+                return
             if k:
                 self.exclude(choices[k - 1])
                 frame[2] = len(trail)
             frame[1] = k + 1
             tick()
             self.join(choices[k])
-            nxt = self._choices()
-            if nxt is None:
-                return True
-            if nxt:
-                frames.append([nxt, 0, len(trail)])
-        self.undo_to(mark)
+            choices = self._choices(pool)
+
+    def admissible(self) -> bool:
+        """Grow S to an admissible set inside no avoided set.
+
+        On failure S is as it was.  On success S is the set found, and the
+        exclusions made on the way stay: each names an earlier sibling
+        whose branch failed, which therefore no admissible superset of S
+        inside no avoided set can hold.
+        """
+        for _ in self._walk(self.open):
+            return True
         return False
 
-    def _close(self) -> None:
-        """Join every argument S defends; S stays admissible (Dung's
-        fundamental lemma), and no node is counted."""
-        att_in, blocked, attackers, targets = (self.att_in, self.blocked,
-                                               self.attackers, self.targets)
-        todo = [a for a in range(self.n) if not blocked[a]]
+    def _sets(self, walk: Iterator[None]) -> Iterator[Extension]:
+        for _ in walk:
+            yield self.af.names_of(self.members())
+
+    def stable(self) -> Iterator[Extension]:
+        """Yield the stable extensions holding S, each once."""
+        att_in, member = self.att_in, self.member
+        self.uncovered = {i for i in range(self.n)
+                          if not member[i] and not att_in[i]}
+        return self._sets(self._walk(self.uncovered))
+
+    def complete(self) -> Iterator[Extension]:
+        """Yield the complete extensions holding S, each once."""
+        return self._sets(self._walk(self.open, closing=True))
+
+    def _close(self) -> bool:
+        """Join every argument the admissible S defends; S stays admissible
+        (Dung's fundamental lemma), and no node is counted.  False when S
+        defends an excluded argument, which no complete superset of S can
+        then avoid.
+
+        An argument S defends is neither attacked by S nor attacks it, nor
+        itself, so a blocked one is excluded."""
+        att_in, blocked, member, attackers, targets = (
+            self.att_in, self.blocked, self.member, self.attackers,
+            self.targets)
+        todo = [a for a in range(self.n) if not att_in[a] and not member[a]]
         while todo:
             a = todo.pop()
-            if blocked[a] or not all(att_in[z] for z in attackers[a]):
+            if (member[a] or att_in[a]
+                    or not all(map(att_in.__getitem__, attackers[a]))):
                 continue
+            if blocked[a]:
+                return False
             self.join(a)
             # A newly attacked argument's targets may be defended now.
             for y in targets[a]:
                 if att_in[y] == 1:
                     todo.extend(targets[y])
+        return True
 
     def _maximise(self) -> None:
         """Grow the admissible S to a preferred extension.
@@ -474,7 +365,7 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     if sem == Semantics.GR:
         return [grounded_extension(af)]
     if sem in (Semantics.ST, Semantics.SST, Semantics.STG):
-        stable = list(_labellings(af, budget, allow_undec=False))
+        stable = list(_AdmissibleSearch(af, budget).stable())
         # When stable extensions exist they are exactly the semi-stable and
         # the stage ones (Caminada 2006).
         if sem == Semantics.ST or stable:
@@ -486,14 +377,7 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
         return [af.set_of(c) for c, r in zip(candidates, ranges)
                 if r in widest]
     if sem == Semantics.CO:
-        search = _AdmissibleSearch(af, budget)
-        grounded = search.members()
-        search.avoid(grounded)
-        if not search.admissible():
-            # No admissible set strictly holds the grounded extension, so
-            # no other complete one exists.
-            return [af.names_of(grounded)]
-        return list(_labellings(af, budget))
+        return list(_AdmissibleSearch(af, budget).complete())
     preferred = list(_AdmissibleSearch(af, budget).preferred())
     if sem == Semantics.PR:
         return preferred
@@ -623,8 +507,9 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
             return YesNo(search.seed([af.index_of(query)])
                          and search.admissible())
         if sem == Semantics.ST:
-            found = _labellings(af, b, [(query, IN)], allow_undec=False)
-            return YesNo(next(found, None) is not None)
+            search = _AdmissibleSearch(af, b)
+            return YesNo(search.seed([af.index_of(query)])
+                         and next(search.stable(), None) is not None)
         return YesNo(any(query in e for e in _extensions(sem, af, b)))
     if task.problem == "DS":
         if sem == Semantics.CO:
@@ -632,9 +517,13 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
             # grounded extension, the least complete one.
             return YesNo(query in grounded_extension(af))
         if sem == Semantics.ST:
-            # Vacuously yes when no stable extension exists.
-            found = _labellings(af, b, [(query, OUT)], allow_undec=False)
-            return YesNo(next(found, None) is None)
+            # Yes when the query is grounded, and vacuously yes when no
+            # stable extension exists.
+            search, i = _AdmissibleSearch(af, b), af.index_of(query)
+            if search.member[i]:
+                return YesNo(True)
+            search.exclude(i)
+            return YesNo(next(search.stable(), None) is None)
         if sem == Semantics.PR:
             # Stops at the first preferred extension without the query.
             return YesNo(all(query in e for e in

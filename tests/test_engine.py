@@ -155,7 +155,7 @@ def test_se_agrees_between_backends_on_singletons(example1):
 
 
 def test_engine_matches_oracle_with_self_attacks():
-    # Self-attackers drive the UNDEC-only corners of the labelling search;
+    # A self-attacker never joins a set and is covered only by an attacker;
     # the equivalence corpus generators never emit them, so force them here.
     rng = SeededRng(777)
     for i in range(120):
@@ -175,6 +175,28 @@ def test_engine_matches_oracle_with_self_attacks():
                 task = parse_task(name)
                 assert engine.solve_optimized(task, af) == \
                     oracle.solve(task, af), (name, sorted(attacks))
+
+
+def test_stable_semantics_is_not_directional():
+    # Stable, semi-stable and stage semantics are not directional: the
+    # answer for a query can change with arguments outside its ancestry,
+    # so no shortcut may decide them on the ancestry alone.
+    pair = [("p", "q"), ("q", "p")]
+    ancestry = ArgumentationFramework(["p", "q"], pair)
+    # q covers the self-attacker r, so {q} is the only stable extension.
+    covered = ArgumentationFramework(["p", "q", "r"],
+                                     pair + [("r", "r"), ("q", "r")])
+    for sem in ("ST", "SST", "STG"):
+        task = parse_task(f"DS-{sem}", "q")
+        assert engine.solve_optimized(task, covered) == YesNo(True) \
+            == oracle.solve(task, covered)
+        assert engine.solve_optimized(task, ancestry) == YesNo(False)
+    # Nothing covers r, so no stable extension exists at all.
+    uncovered = ArgumentationFramework(["p", "q", "r"], pair + [("r", "r")])
+    task = parse_task("DC-ST", "q")
+    assert engine.solve_optimized(task, uncovered) == YesNo(False) \
+        == oracle.solve(task, uncovered)
+    assert engine.solve_optimized(task, ancestry) == YesNo(True)
 
 
 def test_engine_matches_oracle_on_dense_and_sparse_extremes():
@@ -241,8 +263,8 @@ def test_private_engine_use_is_detected():
         "from . import engine\nengine._Budget(None)\n", "afkit.verify") == \
         ["afkit.engine._Budget"]
     assert _private_uses(
-        "from ..engine import _LabellingSearch, dominated\n",
-        "afkit.harness.judge") == ["afkit.engine._LabellingSearch"]
+        "from ..engine import _AdmissibleSearch, dominated\n",
+        "afkit.harness.judge") == ["afkit.engine._AdmissibleSearch"]
     assert _private_uses(
         "import afkit.engine as e\ne.dominated\ne._extensions\n",
         "afkit.cli") == ["afkit.engine._extensions"]

@@ -1,16 +1,16 @@
-"""Property tests of the labelling search on structured frameworks.
+"""Property tests of the engine's search on structured frameworks.
 
 The frameworks are built from the shapes that drive the search into its
 corners: self-attackers, odd and even cycles, mutual-attack pairs, and
 chains of such SCCs, plus a few stray attacks.
 
-* Every labelling the search reports satisfies the three labelling
-  conditions.  The search itself never re-checks a leaf: ``assign`` keeps
-  the conditions as an invariant, and this test is where they are checked.
+* The covering search, seeded with an argument or excluding it, yields
+  exactly the oracle's stable extensions that hold or omit it, and the
+  closing search exactly the oracle's complete extensions, each once.
 * The admissible search finds an admissible superset of a conflict-free
   seed, inside none of the sets it avoids, exactly when the oracle has one.
-* The tasks built on the admissible search, and those that collapse to
-  stable semantics, agree with the oracle.
+* Every task built on the search, and those that collapse to stable
+  semantics, agree with the oracle.
 * Renaming and reordering the arguments changes no answer of any task.
 """
 
@@ -18,13 +18,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit import engine, oracle
-from afkit.core import (ArgumentationFramework, has_full_range,
-                        is_admissible, is_complete, is_conflict_free)
-from afkit.engine import IN, OUT, UNDEC
+from afkit.core import (ArgumentationFramework, is_admissible,
+                        is_conflict_free)
 from afkit.tasks import (AllExtensions, OneExtension, Semantics, Triathlon,
                          YesNo, all_task_names, parse_task, sorted_members)
 
-LABELS = (IN, OUT, UNDEC)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
@@ -58,64 +56,40 @@ def structured_afs(draw, max_args=9):
 
 
 @st.composite
-def searches(draw):
-    """A framework, labels forced on some of its arguments, and whether
-    UNDEC is allowed.  The stable search is only ever forced IN or OUT."""
+def queried_afs(draw):
+    """A framework and one of its arguments."""
     af = draw(structured_afs())
-    allow_undec = draw(st.booleans())
-    labels = LABELS if allow_undec else (IN, OUT)
-    chosen = draw(st.lists(st.sampled_from(af.args), unique=True,
-                           max_size=3))
-    forced = {a: draw(st.sampled_from(labels)) for a in chosen}
-    return af, forced, allow_undec
+    return af, draw(st.sampled_from(af.args))
 
 
-def labelling_conditions_hold(lab, attackers) -> bool:
-    """IN: every attacker OUT.  OUT: some attacker IN.  UNDEC: no attacker
-    IN and not every attacker OUT."""
-    for i, label in enumerate(lab):
-        around = [lab[z] for z in attackers[i]]
-        if label == IN:
-            ok = all(a == OUT for a in around)
-        elif label == OUT:
-            ok = IN in around
-        elif label == UNDEC:
-            ok = IN not in around and UNDEC in around
-        else:
-            ok = False  # a leaf leaves no argument unlabelled
-        if not ok:
-            return False
-    return True
+def _once(found, expected):
+    """Whether ``found`` lists each extension of ``expected`` exactly once."""
+    return (len(found) == len(set(found))
+            and sorted(map(sorted, found)) == sorted(map(sorted, expected)))
 
 
-def _fits(af, ext, forced) -> bool:
-    """Whether the labelling of extension ``ext`` agrees with ``forced``."""
-    attacked = {b for a, b in af.attacks if a in ext}
-    return all(label == (IN if a in ext else OUT if a in attacked else UNDEC)
-               for a, label in forced.items())
+def _search(af):
+    return engine._AdmissibleSearch(af, engine._Budget(None))
 
 
 @SETTINGS
-@given(searches())
-def test_every_reported_leaf_is_a_labelling(case):
-    af, forced, allow_undec = case
-    search = engine._LabellingSearch(af, engine._Budget(None))
-    reported = []
-    # The generator is suspended at each leaf, so ``search.lab`` holds the
-    # labelling of the extension it just yielded.
-    for ext in search.solutions([(af.index_of(a), label)
-                                 for a, label in forced.items()], allow_undec):
-        assert labelling_conditions_hold(search.lab, search.attackers)
-        assert all(search.lab[af.index_of(a)] == label
-                   for a, label in forced.items())
-        assert is_complete(af, ext)
-        if not allow_undec:
-            assert has_full_range(af, ext)
-        reported.append(ext)
-    sem = Semantics.CO if allow_undec else Semantics.ST
-    expected = [e for e in oracle.oracle_enumerate(sem, af)
-                if _fits(af, e, forced)]
-    assert sorted(map(sorted, reported)) == sorted(map(sorted, expected))
+@given(queried_afs())
+def test_covering_and_closing_searches_yield_the_oracle_extensions(case):
+    af, q = case
+    i = af.index_of(q)
+    stable = oracle.oracle_enumerate(Semantics.ST, af)
+    seeded = _search(af)
+    found = list(seeded.stable()) if seeded.seed([i]) else []
+    assert _once(found, [e for e in stable if q in e]), sorted(af.attacks)
+    # A grounded query is in every stable extension, so none omits it.
+    excluding = _search(af)
+    found = []
+    if not excluding.member[i]:
+        excluding.exclude(i)
+        found = list(excluding.stable())
+    assert _once(found, [e for e in stable if q not in e]), sorted(af.attacks)
+    assert _once(list(_search(af).complete()),
+                 oracle.oracle_enumerate(Semantics.CO, af)), sorted(af.attacks)
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +122,7 @@ def test_admissible_search_is_sound_and_complete(case):
         goal = seed | extra
         if not is_conflict_free(af, goal):
             continue
-        search = engine._AdmissibleSearch(af, engine._Budget(None))
+        search = _search(af)
         for ext in avoided:
             search.avoid(af.member_indices(ext))
         found = (search.seed(af.member_indices(goal))
@@ -193,8 +167,9 @@ def _matches_oracle(af, sems, tasks):
 def test_admissible_search_tasks_match_the_oracle(af):
     exts = _matches_oracle(
         af, list(Semantics),
-        ("EE-CO", "SE-CO", "DC-CO", "EE-PR", "SE-PR", "DC-PR", "DS-PR",
-         "EE-SST", "SE-SST", "DC-SST", "DS-SST", "SE-ID", "DC-ID", "D3"))
+        ("EE-CO", "SE-CO", "DC-CO", "DS-CO", "EE-PR", "SE-PR", "DC-PR",
+         "DS-PR", "EE-ST", "SE-ST", "DC-ST", "DS-ST", "EE-SST", "SE-SST",
+         "DC-SST", "DS-SST", "SE-ID", "DC-ID", "D3"))
     for ext in exts[Semantics.CO]:
         for sem in (Semantics.PR, Semantics.SST):
             assert engine.dominated(sem, af, ext) == (ext not in exts[sem]), \
@@ -218,9 +193,11 @@ def stable_afs(draw):
 @SETTINGS
 @given(stable_afs())
 def test_stable_collapse_matches_the_oracle(af):
-    _matches_oracle(af, (Semantics.SST, Semantics.STG),
-                    ("EE-SST", "SE-SST", "DC-SST", "DS-SST",
-                     "EE-STG", "SE-STG", "DC-STG", "DS-STG"))
+    _matches_oracle(af, (Semantics.GR, Semantics.ST, Semantics.PR,
+                         Semantics.SST, Semantics.STG),
+                    ("EE-ST", "SE-ST", "DC-ST", "DS-ST", "EE-SST", "SE-SST",
+                     "DC-SST", "DS-SST", "EE-STG", "SE-STG", "DC-STG",
+                     "DS-STG", "D3"))
 
 
 # ---------------------------------------------------------------------------

@@ -8,14 +8,10 @@ change that means to alter the search tree updates the table and says why.
 
 Two tables are pinned.  ``NODES`` holds what ``solve_optimized`` expands
 under its dispatch; its tests are named by framework and task alone, so a
-re-pin keeps their names.  ``SEARCH_NODES`` holds what the labelling search
-and the maximal conflict-free enumeration expand when each task is answered
-by them alone, with no admissible search: complete labellings for CO, PR,
-SST and ID, stable ones for ST, both for D3, a forced label for DC-CO, DC-PR,
-DC-ST and DS-ST, maximal conflict-free sets for STG.  Both searches stay in
-the engine (CO and STG fall back to them, ST is answered by the first), so
-their trees stay pinned on every framework, whichever search the dispatch
-picks there.
+re-pin keeps their names.  ``STAGE_NODES`` holds what the maximal
+conflict-free enumeration (Bron-Kerbosch) expands when it answers a stage
+task alone.  The dispatch reaches it only on frameworks with no stable
+extension, so its tree stays pinned on every framework through this table.
 """
 
 from dataclasses import replace
@@ -23,13 +19,13 @@ from dataclasses import replace
 import pytest
 
 from afkit.core import ArgumentationFramework
-from afkit.engine import (IN, OUT, _Budget, _labellings,
-                          _maximal_conflict_free_masks, solve_optimized)
+from afkit.engine import (_Budget, _maximal_conflict_free_masks,
+                          solve_optimized)
 from afkit.errors import BudgetExceededError
 from afkit.generators import (gen_admbuster, gen_sembuster, generate,
                               preset_configs)
 from afkit.rng import SeededRng
-from afkit.tasks import Semantics, all_task_names, parse_task
+from afkit.tasks import all_task_names, parse_task
 
 from conftest import EXAMPLE1_ARGS, EXAMPLE1_ATTACKS
 
@@ -87,7 +83,7 @@ def _frameworks():
     afs = {"admbuster/12": gen_admbuster(12), "sembuster/4": gen_sembuster(4)}
     for family in PRESET_FAMILIES:
         afs[f"{family}/12"] = _preset(family, 12)
-    for name in {**RUNG1_NODES, **RUNG1_SEARCH_NODES}:
+    for name in RUNG1_NODES:
         family, _, n = name.partition("/")
         afs[name] = (gen_sembuster(int(n)) if family == "sembuster"
                      else _preset(family, int(n)))
@@ -102,102 +98,65 @@ def _frameworks():
 NODES = {
     "admbuster/12": {},
     "sembuster/4": {
-        "SE-CO": 805, "EE-CO": 805, "DS-PR": 1, "SE-PR": 15, "EE-PR": 15,
-        "DC-ST": 2, "DS-ST": 18, "SE-ST": 22, "EE-ST": 22, "DC-SST": 22,
-        "DS-SST": 22, "SE-SST": 22, "EE-SST": 22, "DC-STG": 22, "DS-STG": 22,
-        "SE-STG": 22, "EE-STG": 22, "DC-ID": 15, "SE-ID": 15, "D3": 37},
+        "SE-CO": 8, "EE-CO": 8, "DS-PR": 1, "SE-PR": 15, "EE-PR": 15,
+        "DS-ST": 1, "SE-ST": 1, "EE-ST": 1, "DC-SST": 1, "DS-SST": 1,
+        "SE-SST": 1, "EE-SST": 1, "DC-STG": 1, "DS-STG": 1, "SE-STG": 1,
+        "EE-STG": 1, "DC-ID": 15, "SE-ID": 15, "D3": 16},
     "grounded/12": {},
     "scc/12": {},
     "stable/12": {},
     "erdos/12": {
         "DC-CO": 4, "SE-CO": 16, "EE-CO": 16, "DC-PR": 4, "DS-PR": 16,
-        "SE-PR": 32, "EE-PR": 32, "DC-ST": 8, "DS-ST": 12, "SE-ST": 12,
-        "EE-ST": 12, "DC-SST": 44, "DS-SST": 44, "SE-SST": 44, "EE-SST": 44,
-        "DC-STG": 32, "DS-STG": 32, "SE-STG": 32, "EE-STG": 32, "DC-ID": 32,
-        "SE-ID": 32, "D3": 44},
+        "SE-PR": 32, "EE-PR": 32, "DC-ST": 3, "DS-ST": 1, "SE-ST": 5,
+        "EE-ST": 5, "DC-SST": 37, "DS-SST": 37, "SE-SST": 37, "EE-SST": 37,
+        "DC-STG": 25, "DS-STG": 25, "SE-STG": 25, "EE-STG": 25, "DC-ID": 32,
+        "SE-ID": 32, "D3": 37},
     "watts/12": {},
     "barabasi/12": {},
     "example1": {
-        "SE-CO": 46, "EE-CO": 46, "DS-PR": 5, "SE-PR": 11, "EE-PR": 11,
-        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 17, "DS-SST": 17,
-        "SE-SST": 17, "EE-SST": 17, "DC-STG": 15, "DS-STG": 15, "SE-STG": 15,
-        "EE-STG": 15, "DC-ID": 11, "SE-ID": 11, "D3": 17},
+        "SE-CO": 10, "EE-CO": 10, "DS-PR": 5, "SE-PR": 11, "EE-PR": 11,
+        "SE-ST": 1, "EE-ST": 1, "DC-SST": 12, "DS-SST": 12, "SE-SST": 12,
+        "EE-SST": 12, "DC-STG": 10, "DS-STG": 10, "SE-STG": 10, "EE-STG": 10,
+        "DC-ID": 11, "SE-ID": 11, "D3": 12},
     "pairs_triangle": {
-        "SE-CO": 322, "EE-CO": 322, "DS-PR": 24, "SE-PR": 187, "EE-PR": 187,
-        "DC-ST": 14, "DS-ST": 14, "SE-ST": 30, "EE-ST": 30, "DC-SST": 217,
+        "SE-CO": 107, "EE-CO": 107, "DS-PR": 24, "SE-PR": 187, "EE-PR": 187,
+        "DC-ST": 14, "DS-ST": 15, "SE-ST": 30, "EE-ST": 30, "DC-SST": 217,
         "DS-SST": 217, "SE-SST": 217, "EE-SST": 217, "DC-STG": 69,
         "DS-STG": 69, "SE-STG": 69, "EE-STG": 69, "DC-ID": 187, "SE-ID": 187,
         "D3": 217},
     "scc_chain": {
-        "DC-CO": 1, "SE-CO": 65, "EE-CO": 65, "DC-PR": 1, "DS-PR": 2,
-        "SE-PR": 20, "EE-PR": 20, "DS-ST": 4, "SE-ST": 6, "EE-ST": 6,
-        "DC-SST": 26, "DS-SST": 26, "SE-SST": 26, "EE-SST": 26, "DC-STG": 27,
-        "DS-STG": 27, "SE-STG": 27, "EE-STG": 27, "DC-ID": 20, "SE-ID": 20,
-        "D3": 26},
+        "DC-CO": 1, "SE-CO": 16, "EE-CO": 16, "DC-PR": 1, "DS-PR": 2,
+        "SE-PR": 20, "EE-PR": 20, "DC-ST": 1, "DS-ST": 1, "SE-ST": 3,
+        "EE-ST": 3, "DC-SST": 23, "DS-SST": 23, "SE-SST": 23, "EE-SST": 23,
+        "DC-STG": 24, "DS-STG": 24, "SE-STG": 24, "EE-STG": 24, "DC-ID": 20,
+        "SE-ID": 20, "D3": 23},
     "self_attacks": {
-        "SE-CO": 34, "EE-CO": 34, "DS-PR": 4, "SE-PR": 7, "EE-PR": 7,
-        "DC-ST": 2, "DS-ST": 2, "SE-ST": 2, "EE-ST": 2, "DC-SST": 9,
-        "DS-SST": 9, "SE-SST": 9, "EE-SST": 9, "DC-STG": 10, "DS-STG": 10,
-        "SE-STG": 10, "EE-STG": 10, "DC-ID": 7, "SE-ID": 7, "D3": 9},
+        "SE-CO": 5, "EE-CO": 5, "DS-PR": 4, "SE-PR": 7, "EE-PR": 7,
+        "DC-SST": 7, "DS-SST": 7, "SE-SST": 7, "EE-SST": 7, "DC-STG": 8,
+        "DS-STG": 8, "SE-STG": 8, "EE-STG": 8, "DC-ID": 7, "SE-ID": 7,
+        "D3": 7},
 }
 
 RUNG1_NODES = {
-    "scc/100": {"DC-CO": 2, "DC-PR": 2, "DC-ST": 12, "DS-ST": 17},
-    "sembuster/20": {"EE-PR": 231},
-    "erdos/60": {"DC-ST": 56, "DS-ST": 462, "SE-ST": 502, "EE-ST": 502,
-                 "EE-STG": 2392, "EE-PR": 308},
-    "watts/100": {"DC-ST": 424, "DS-ST": 704, "SE-ST": 706, "EE-ST": 706,
-                  "DS-PR": 142},
+    "scc/100": {"DC-CO": 2, "DC-PR": 2, "DC-ST": 25, "DS-ST": 28},
+    "sembuster/20": {"EE-PR": 231, "EE-CO": 40},
+    "erdos/60": {
+        "DC-ST": 6, "DS-ST": 57, "SE-ST": 60, "EE-ST": 60, "EE-STG": 1950,
+        "EE-PR": 308},
+    "watts/100": {
+        "DC-ST": 3, "DS-ST": 26, "SE-ST": 28, "EE-ST": 28, "DS-PR": 142},
 }
-SEARCH_NODES = {
-    "admbuster/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
-    "sembuster/4": {
-        "DC-CO": 3, "SE-CO": 804, "EE-CO": 804, "DC-PR": 3, "DS-PR": 804,
-        "SE-PR": 804, "EE-PR": 804, "DC-ST": 2, "DS-ST": 18, "SE-ST": 22,
-        "EE-ST": 22, "DC-SST": 804, "DS-SST": 804, "SE-SST": 804,
-        "EE-SST": 804, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9, "EE-STG": 9,
-        "DC-ID": 804, "SE-ID": 804, "D3": 826},
-    "grounded/12": {"DC-STG": 53, "DS-STG": 53, "SE-STG": 53, "EE-STG": 53},
-    "scc/12": {"DC-STG": 19, "DS-STG": 19, "SE-STG": 19, "EE-STG": 19},
-    "stable/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
-    "erdos/12": {
-        "DC-CO": 93, "SE-CO": 717, "EE-CO": 717, "DC-PR": 93, "DS-PR": 717,
-        "SE-PR": 717, "EE-PR": 717, "DC-ST": 8, "DS-ST": 12, "SE-ST": 12,
-        "EE-ST": 12, "DC-SST": 717, "DS-SST": 717, "SE-SST": 717,
-        "EE-SST": 717, "DC-STG": 20, "DS-STG": 20, "SE-STG": 20, "EE-STG": 20,
-        "DC-ID": 717, "SE-ID": 717, "D3": 729},
-    "watts/12": {"DC-STG": 48, "DS-STG": 48, "SE-STG": 48, "EE-STG": 48},
-    "barabasi/12": {"DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39},
-    "example1": {
-        "SE-CO": 45, "EE-CO": 45, "DS-PR": 45, "SE-PR": 45, "EE-PR": 45,
-        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 45, "DS-SST": 45,
-        "SE-SST": 45, "EE-SST": 45, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9,
-        "EE-STG": 9, "DC-ID": 45, "SE-ID": 45, "D3": 51},
-    "pairs_triangle": {
-        "DC-CO": 11, "SE-CO": 321, "EE-CO": 321, "DC-PR": 11, "DS-PR": 321,
-        "SE-PR": 321, "EE-PR": 321, "DC-ST": 14, "DS-ST": 14, "SE-ST": 30,
-        "EE-ST": 30, "DC-SST": 321, "DS-SST": 321, "SE-SST": 321,
-        "EE-SST": 321, "DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39,
-        "DC-ID": 321, "SE-ID": 321, "D3": 351},
-    "scc_chain": {
-        "SE-CO": 63, "EE-CO": 63, "DS-PR": 63, "SE-PR": 63, "EE-PR": 63,
-        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 63, "DS-SST": 63,
-        "SE-SST": 63, "EE-SST": 63, "DC-STG": 21, "DS-STG": 21, "SE-STG": 21,
-        "EE-STG": 21, "DC-ID": 63, "SE-ID": 63, "D3": 69},
-    "self_attacks": {
-        "DC-CO": 9, "SE-CO": 30, "EE-CO": 30, "DC-PR": 9, "DS-PR": 30,
-        "SE-PR": 30, "EE-PR": 30, "DC-ST": 2, "DS-ST": 2, "SE-ST": 2,
-        "EE-ST": 2, "DC-SST": 30, "DS-SST": 30, "SE-SST": 30, "EE-SST": 30,
-        "DC-STG": 8, "DS-STG": 8, "SE-STG": 8, "EE-STG": 8, "DC-ID": 30,
-        "SE-ID": 30, "D3": 32},
+# Nodes the maximal conflict-free enumeration expands per (framework,
+# stage task), answering it alone.
+STAGE_NODES = {
+    "admbuster/12": 49, "sembuster/4": 9, "grounded/12": 53, "scc/12": 19,
+    "stable/12": 49, "erdos/12": 20, "watts/12": 48, "barabasi/12": 39,
+    "example1": 9, "pairs_triangle": 39, "scc_chain": 21, "self_attacks": 8,
+    "erdos/60": 1890,
 }
-
-RUNG1_SEARCH_NODES = {
-    "scc/100": {"DC-CO": 12, "DC-PR": 12, "DC-ST": 12, "DS-ST": 17},
-    "erdos/60": {"DC-ST": 56, "DS-ST": 462, "SE-ST": 502, "EE-ST": 502,
-                 "EE-STG": 1890},
-    "watts/100": {"DC-ST": 424, "DS-ST": 704, "SE-ST": 706, "EE-ST": 706},
-}
+STAGE_TASKS = {name: ("EE-STG",) if name == "erdos/60"
+               else ("DC-STG", "DS-STG", "SE-STG", "EE-STG")
+               for name in STAGE_NODES}
 FRAMEWORKS = _frameworks()
 
 
@@ -209,38 +168,23 @@ def _cases(rows, rung1_rows):
         yield from ((name, task, nodes) for task, nodes in row.items())
 
 
+def _stage_cases():
+    for name, nodes in STAGE_NODES.items():
+        for task in STAGE_TASKS[name]:
+            yield name, task, nodes
+
+
 def _task(name, task_name):
     af = FRAMEWORKS[name]
     query = af.args[len(af) // 2] if task_name[:2] in ("DC", "DS") else None
     return parse_task(task_name, query), af
 
 
-def _search_alone(task, af, budget):
-    """Answer ``task`` by the labelling search and the maximal
-    conflict-free enumeration alone, under one ``budget``, drawing each
-    search as far as the answer needs."""
-    b = _Budget(budget)
-    sem, problem = task.semantics, task.problem
-    if problem == "D3":
-        drawn = [_labellings(af, b, allow_undec=False), _labellings(af, b)]
-    elif sem == Semantics.GR or (problem, sem) == ("DS", Semantics.CO):
-        # Grounded membership: no search at all.
-        drawn = []
-    elif (problem == "DC" and sem in (Semantics.CO, Semantics.PR,
-                                      Semantics.ST)
-          or (problem, sem) == ("DS", Semantics.ST)):
-        label = IN if problem == "DC" else OUT
-        found = _labellings(af, b, [(task.query, label)],
-                            allow_undec=sem != Semantics.ST)
-        next(found, None)
-        return
-    elif sem == Semantics.STG:
-        drawn = [_maximal_conflict_free_masks(af, b)]
-    else:
-        drawn = [_labellings(af, b, allow_undec=sem != Semantics.ST)]
-    for search in drawn:
-        for _ in search:
-            pass
+def _stage_alone(task, af, budget):
+    """Draw every maximal conflict-free set of ``af`` under ``budget``,
+    as a stage task answered by Bron-Kerbosch alone does."""
+    for _ in _maximal_conflict_free_masks(af, _Budget(budget)):
+        pass
 
 
 def _solve(task, af, budget):
@@ -262,14 +206,12 @@ def test_solve_node_count_is_pinned(name, task_name, nodes):
     _assert_pinned(_solve, task, af, nodes)
 
 
-@pytest.mark.parametrize("name,task_name,nodes",
-                         list(_cases(SEARCH_NODES, RUNG1_SEARCH_NODES)))
+@pytest.mark.parametrize("name,task_name,nodes", list(_stage_cases()))
 def test_node_count_is_pinned(name, task_name, nodes):
     task, af = _task(name, task_name)
-    _assert_pinned(_search_alone, task, af, nodes)
+    _assert_pinned(_stage_alone, task, af, nodes)
 
 
 def test_every_framework_is_pinned():
-    assert set(SEARCH_NODES) == set(NODES)
-    assert (set(NODES) | set(RUNG1_NODES) | set(RUNG1_SEARCH_NODES)
-            == set(FRAMEWORKS))
+    assert set(STAGE_NODES) == set(NODES) | {"erdos/60"}
+    assert set(NODES) | set(RUNG1_NODES) == set(FRAMEWORKS)
