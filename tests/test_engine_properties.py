@@ -12,17 +12,24 @@ chains of such SCCs, plus a few stray attacks.
 * Every task built on the search, and those that collapse to stable
   semantics, agree with the oracle.
 * Renaming and reordering the arguments changes no answer of any task.
+* Every labelling the reference labelling search of ``labelling.py``
+  reports satisfies the three labelling conditions.  That search never
+  re-checks a leaf: ``assign`` keeps the conditions as an invariant, and
+  this test is where they are checked.
 """
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from afkit import engine, oracle
-from afkit.core import (ArgumentationFramework, is_admissible,
-                        is_conflict_free)
+from afkit.core import (ArgumentationFramework, has_full_range,
+                        is_admissible, is_complete, is_conflict_free)
 from afkit.tasks import (AllExtensions, OneExtension, Semantics, Triathlon,
                          YesNo, all_task_names, parse_task, sorted_members)
 
+from labelling import IN, OUT, UNDEC, LabellingSearch
+
+LABELS = (IN, OUT, UNDEC)
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
 
@@ -264,3 +271,67 @@ def test_answers_survive_renaming_and_reordering(case):
             else:
                 assert _back(got.extension, inverse) in all_exts.extensions, \
                     (name, sorted(af.attacks))
+
+
+# ---------------------------------------------------------------------------
+# The reference labelling search
+
+@st.composite
+def searches(draw):
+    """A framework, labels forced on some of its arguments, and whether
+    UNDEC is allowed.  The stable search is only ever forced IN or OUT."""
+    af = draw(structured_afs())
+    allow_undec = draw(st.booleans())
+    labels = LABELS if allow_undec else (IN, OUT)
+    chosen = draw(st.lists(st.sampled_from(af.args), unique=True,
+                           max_size=3))
+    forced = {a: draw(st.sampled_from(labels)) for a in chosen}
+    return af, forced, allow_undec
+
+
+def labelling_conditions_hold(lab, attackers) -> bool:
+    """IN: every attacker OUT.  OUT: some attacker IN.  UNDEC: no attacker
+    IN and not every attacker OUT."""
+    for i, label in enumerate(lab):
+        around = [lab[z] for z in attackers[i]]
+        if label == IN:
+            ok = all(a == OUT for a in around)
+        elif label == OUT:
+            ok = IN in around
+        elif label == UNDEC:
+            ok = IN not in around and UNDEC in around
+        else:
+            ok = False  # a leaf leaves no argument unlabelled
+        if not ok:
+            return False
+    return True
+
+
+def _fits(af, ext, forced) -> bool:
+    """Whether the labelling of extension ``ext`` agrees with ``forced``."""
+    attacked = {b for a, b in af.attacks if a in ext}
+    return all(label == (IN if a in ext else OUT if a in attacked else UNDEC)
+               for a, label in forced.items())
+
+
+@SETTINGS
+@given(searches())
+def test_every_reported_leaf_is_a_labelling(case):
+    af, forced, allow_undec = case
+    search = LabellingSearch(af, engine._Budget(None))
+    reported = []
+    # The generator is suspended at each leaf, so ``search.lab`` holds the
+    # labelling of the extension it just yielded.
+    for ext in search.solutions([(af.index_of(a), label)
+                                 for a, label in forced.items()], allow_undec):
+        assert labelling_conditions_hold(search.lab, search.attackers)
+        assert all(search.lab[af.index_of(a)] == label
+                   for a, label in forced.items())
+        assert is_complete(af, ext)
+        if not allow_undec:
+            assert has_full_range(af, ext)
+        reported.append(ext)
+    sem = Semantics.CO if allow_undec else Semantics.ST
+    expected = [e for e in oracle.oracle_enumerate(sem, af)
+                if _fits(af, e, forced)]
+    assert sorted(map(sorted, reported)) == sorted(map(sorted, expected))

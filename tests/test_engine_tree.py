@@ -8,10 +8,17 @@ change that means to alter the search tree updates the table and says why.
 
 Two tables are pinned.  ``NODES`` holds what ``solve_optimized`` expands
 under its dispatch; its tests are named by framework and task alone, so a
-re-pin keeps their names.  ``STAGE_NODES`` holds what the maximal
-conflict-free enumeration (Bron-Kerbosch) expands when it answers a stage
-task alone.  The dispatch reaches it only on frameworks with no stable
-extension, so its tree stays pinned on every framework through this table.
+re-pin keeps their names.  ``SEARCH_NODES`` holds what the labelling search
+of ``labelling.py`` and the engine's maximal conflict-free enumeration
+expand when each task is answered by them alone: complete labellings for
+CO, PR, SST and ID, stable ones for ST, both for D3, a forced label for
+DC-CO, DC-PR, DC-ST and DS-ST, maximal conflict-free sets for STG.  The
+dispatch reaches Bron-Kerbosch only on frameworks with no stable extension,
+so its tree stays pinned on every framework through this table.  The
+labelling search is the tests' reference for complete and stable semantics,
+a different algorithm from the engine's covering and closing; its trees
+stay pinned so the reference stays the one the engine is checked against
+below.
 """
 
 from dataclasses import replace
@@ -19,15 +26,16 @@ from dataclasses import replace
 import pytest
 
 from afkit.core import ArgumentationFramework
-from afkit.engine import (_Budget, _maximal_conflict_free_masks,
-                          solve_optimized)
+from afkit.engine import _Budget, _maximal_conflict_free_masks, solve_optimized
 from afkit.errors import BudgetExceededError
 from afkit.generators import (gen_admbuster, gen_sembuster, generate,
                               preset_configs)
 from afkit.rng import SeededRng
-from afkit.tasks import all_task_names, parse_task
+from afkit.tasks import (AllExtensions, OneExtension, Semantics, YesNo,
+                         all_task_names, parse_task, sorted_members)
 
 from conftest import EXAMPLE1_ARGS, EXAMPLE1_ATTACKS
+from labelling import IN, OUT, labellings
 
 PRESET_FAMILIES = ("grounded", "scc", "stable", "erdos", "watts", "barabasi")
 
@@ -83,7 +91,7 @@ def _frameworks():
     afs = {"admbuster/12": gen_admbuster(12), "sembuster/4": gen_sembuster(4)}
     for family in PRESET_FAMILIES:
         afs[f"{family}/12"] = _preset(family, 12)
-    for name in RUNG1_NODES:
+    for name in {**RUNG1_NODES, **RUNG1_SEARCH_NODES}:
         family, _, n = name.partition("/")
         afs[name] = (gen_sembuster(int(n)) if family == "sembuster"
                      else _preset(family, int(n)))
@@ -146,17 +154,55 @@ RUNG1_NODES = {
     "watts/100": {
         "DC-ST": 3, "DS-ST": 26, "SE-ST": 28, "EE-ST": 28, "DS-PR": 142},
 }
-# Nodes the maximal conflict-free enumeration expands per (framework,
-# stage task), answering it alone.
-STAGE_NODES = {
-    "admbuster/12": 49, "sembuster/4": 9, "grounded/12": 53, "scc/12": 19,
-    "stable/12": 49, "erdos/12": 20, "watts/12": 48, "barabasi/12": 39,
-    "example1": 9, "pairs_triangle": 39, "scc_chain": 21, "self_attacks": 8,
-    "erdos/60": 1890,
+SEARCH_NODES = {
+    "admbuster/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
+    "sembuster/4": {
+        "DC-CO": 3, "SE-CO": 804, "EE-CO": 804, "DC-PR": 3, "DS-PR": 804,
+        "SE-PR": 804, "EE-PR": 804, "DC-ST": 2, "DS-ST": 18, "SE-ST": 22,
+        "EE-ST": 22, "DC-SST": 804, "DS-SST": 804, "SE-SST": 804,
+        "EE-SST": 804, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9, "EE-STG": 9,
+        "DC-ID": 804, "SE-ID": 804, "D3": 826},
+    "grounded/12": {"DC-STG": 53, "DS-STG": 53, "SE-STG": 53, "EE-STG": 53},
+    "scc/12": {"DC-STG": 19, "DS-STG": 19, "SE-STG": 19, "EE-STG": 19},
+    "stable/12": {"DC-STG": 49, "DS-STG": 49, "SE-STG": 49, "EE-STG": 49},
+    "erdos/12": {
+        "DC-CO": 93, "SE-CO": 717, "EE-CO": 717, "DC-PR": 93, "DS-PR": 717,
+        "SE-PR": 717, "EE-PR": 717, "DC-ST": 8, "DS-ST": 12, "SE-ST": 12,
+        "EE-ST": 12, "DC-SST": 717, "DS-SST": 717, "SE-SST": 717,
+        "EE-SST": 717, "DC-STG": 20, "DS-STG": 20, "SE-STG": 20, "EE-STG": 20,
+        "DC-ID": 717, "SE-ID": 717, "D3": 729},
+    "watts/12": {"DC-STG": 48, "DS-STG": 48, "SE-STG": 48, "EE-STG": 48},
+    "barabasi/12": {"DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39},
+    "example1": {
+        "SE-CO": 45, "EE-CO": 45, "DS-PR": 45, "SE-PR": 45, "EE-PR": 45,
+        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 45, "DS-SST": 45,
+        "SE-SST": 45, "EE-SST": 45, "DC-STG": 9, "DS-STG": 9, "SE-STG": 9,
+        "EE-STG": 9, "DC-ID": 45, "SE-ID": 45, "D3": 51},
+    "pairs_triangle": {
+        "DC-CO": 11, "SE-CO": 321, "EE-CO": 321, "DC-PR": 11, "DS-PR": 321,
+        "SE-PR": 321, "EE-PR": 321, "DC-ST": 14, "DS-ST": 14, "SE-ST": 30,
+        "EE-ST": 30, "DC-SST": 321, "DS-SST": 321, "SE-SST": 321,
+        "EE-SST": 321, "DC-STG": 39, "DS-STG": 39, "SE-STG": 39, "EE-STG": 39,
+        "DC-ID": 321, "SE-ID": 321, "D3": 351},
+    "scc_chain": {
+        "SE-CO": 63, "EE-CO": 63, "DS-PR": 63, "SE-PR": 63, "EE-PR": 63,
+        "DS-ST": 4, "SE-ST": 6, "EE-ST": 6, "DC-SST": 63, "DS-SST": 63,
+        "SE-SST": 63, "EE-SST": 63, "DC-STG": 21, "DS-STG": 21, "SE-STG": 21,
+        "EE-STG": 21, "DC-ID": 63, "SE-ID": 63, "D3": 69},
+    "self_attacks": {
+        "DC-CO": 9, "SE-CO": 30, "EE-CO": 30, "DC-PR": 9, "DS-PR": 30,
+        "SE-PR": 30, "EE-PR": 30, "DC-ST": 2, "DS-ST": 2, "SE-ST": 2,
+        "EE-ST": 2, "DC-SST": 30, "DS-SST": 30, "SE-SST": 30, "EE-SST": 30,
+        "DC-STG": 8, "DS-STG": 8, "SE-STG": 8, "EE-STG": 8, "DC-ID": 30,
+        "SE-ID": 30, "D3": 32},
 }
-STAGE_TASKS = {name: ("EE-STG",) if name == "erdos/60"
-               else ("DC-STG", "DS-STG", "SE-STG", "EE-STG")
-               for name in STAGE_NODES}
+
+RUNG1_SEARCH_NODES = {
+    "scc/100": {"DC-CO": 12, "DC-PR": 12, "DC-ST": 12, "DS-ST": 17},
+    "erdos/60": {"DC-ST": 56, "DS-ST": 462, "SE-ST": 502, "EE-ST": 502,
+                 "EE-STG": 1890},
+    "watts/100": {"DC-ST": 424, "DS-ST": 704, "SE-ST": 706, "EE-ST": 706},
+}
 FRAMEWORKS = _frameworks()
 
 
@@ -168,23 +214,63 @@ def _cases(rows, rung1_rows):
         yield from ((name, task, nodes) for task, nodes in row.items())
 
 
-def _stage_cases():
-    for name, nodes in STAGE_NODES.items():
-        for task in STAGE_TASKS[name]:
-            yield name, task, nodes
-
-
 def _task(name, task_name):
     af = FRAMEWORKS[name]
     query = af.args[len(af) // 2] if task_name[:2] in ("DC", "DS") else None
     return parse_task(task_name, query), af
 
 
-def _stage_alone(task, af, budget):
-    """Draw every maximal conflict-free set of ``af`` under ``budget``,
-    as a stage task answered by Bron-Kerbosch alone does."""
-    for _ in _maximal_conflict_free_masks(af, _Budget(budget)):
-        pass
+def _search_alone(task, af, budget):
+    """Answer ``task`` by the reference labelling search and the maximal
+    conflict-free enumeration alone, under one ``budget``, drawing each
+    search as far as the answer needs."""
+    b = _Budget(budget)
+    sem, problem = task.semantics, task.problem
+    if problem == "D3":
+        drawn = [labellings(af, b, allow_undec=False), labellings(af, b)]
+    elif sem == Semantics.GR or (problem, sem) == ("DS", Semantics.CO):
+        # Grounded membership: no search at all.
+        drawn = []
+    elif (problem == "DC" and sem in (Semantics.CO, Semantics.PR,
+                                      Semantics.ST)
+          or (problem, sem) == ("DS", Semantics.ST)):
+        label = IN if problem == "DC" else OUT
+        found = labellings(af, b, [(task.query, label)],
+                           allow_undec=sem != Semantics.ST)
+        next(found, None)
+        return
+    elif sem == Semantics.STG:
+        drawn = [_maximal_conflict_free_masks(af, b)]
+    else:
+        drawn = [labellings(af, b, allow_undec=sem != Semantics.ST)]
+    for search in drawn:
+        for _ in search:
+            pass
+
+
+def _reference(task, af):
+    """The answer to a CO or ST task, or to DC-PR, by the reference
+    labelling search: DC finds a labelling with the query IN, DS-ST finds
+    none with it OUT."""
+    b, query = _Budget(None), task.query
+    undec = task.semantics != Semantics.ST
+    if task.problem in ("DC", "DS"):
+        label = IN if task.problem == "DC" else OUT
+        found = next(labellings(af, b, [(query, label)], undec), None)
+        return YesNo((found is not None) == (task.problem == "DC"))
+    exts = list(labellings(af, b, allow_undec=undec))
+    if task.problem == "SE":
+        return OneExtension(min(exts, key=sorted_members) if exts else None)
+    return AllExtensions.of(exts)
+
+
+def _reference_cases():
+    answered = ("DC-CO", "SE-CO", "EE-CO", "DC-PR", "DC-ST", "DS-ST",
+                "SE-ST", "EE-ST")
+    for name in SEARCH_NODES:
+        yield from ((name, task) for task in answered)
+    for name, row in RUNG1_SEARCH_NODES.items():
+        yield from ((name, task) for task in row if task in answered)
 
 
 def _solve(task, af, budget):
@@ -206,12 +292,25 @@ def test_solve_node_count_is_pinned(name, task_name, nodes):
     _assert_pinned(_solve, task, af, nodes)
 
 
-@pytest.mark.parametrize("name,task_name,nodes", list(_stage_cases()))
+@pytest.mark.parametrize("name,task_name,nodes",
+                         list(_cases(SEARCH_NODES, RUNG1_SEARCH_NODES)))
 def test_node_count_is_pinned(name, task_name, nodes):
     task, af = _task(name, task_name)
-    _assert_pinned(_stage_alone, task, af, nodes)
+    _assert_pinned(_search_alone, task, af, nodes)
+
+
+@pytest.mark.parametrize("name,task_name", [
+    pytest.param(name, task_name, id=f"{name}-{task_name}")
+    for name, task_name in _reference_cases()])
+def test_engine_matches_the_labelling_reference(name, task_name):
+    # The brute-force oracle stops near twenty arguments; the reference
+    # search checks the covering and closing searches on the bench
+    # ladder's rung-1 frameworks too.
+    task, af = _task(name, task_name)
+    assert solve_optimized(task, af) == _reference(task, af)
 
 
 def test_every_framework_is_pinned():
-    assert set(STAGE_NODES) == set(NODES) | {"erdos/60"}
-    assert set(NODES) | set(RUNG1_NODES) == set(FRAMEWORKS)
+    assert set(SEARCH_NODES) == set(NODES)
+    assert (set(NODES) | set(RUNG1_NODES) | set(RUNG1_SEARCH_NODES)
+            == set(FRAMEWORKS))
