@@ -11,10 +11,10 @@ arguments are branched on before it:
 * admissible: while some attacker of S is not attacked by S, the branches
   are the candidates to attack it, for the attacker with the fewest.  It
   decides whether an admissible set holds S and lies inside none of a list
-  of avoided sets.  Preferred extensions are enumerated on it as PrefSAT
-  does (Cerutti et al. 2014): find an admissible set inside none of the
-  extensions found so far, grow it to a maximal one, avoid that from then
-  on.
+  of avoided sets.  Preferred extensions are enumerated on it in one
+  resumable walk, as PrefSAT does (Cerutti et al. 2014): at each admissible
+  S inside none of the extensions found so far, grow S to a maximal one,
+  avoid that, and go on from S.
 * stable, by covering: while some argument outside S is not attacked by S,
   the branches are that argument and its attackers, for the argument with
   the fewest candidates.  A conflict-free set that attacks every argument
@@ -30,20 +30,24 @@ everything, a decision draws at most one answer.  The search builds no
 per-argument bitmasks.
 
 ``_extensions`` is the one place where a semantics meets its algorithm.
-Grounded is the fixed point itself; complete, stable and preferred come
-from the search; semi-stable (the range-maximal preferred) and ideal (the
-intersection of the preferred, shrunk to a fixed point of the defense
-check) are derived from the one preferred list.  Semi-stable and stage are
+Grounded is the fixed point itself; complete and stable come from the
+search.  Preferred semantics is SCC-recursive (Baroni, Giacomin & Guida,
+AIJ 2005): the preferred list is built component by component over what
+the grounded extension leaves undecided, each component walked with the
+members an IN argument attacks dropped and a self-attack on those an
+undecided one attacks.  Semi-stable (range-maximal), ideal (the
+intersection, shrunk to a fixed point of the defense check) and D3's
+stable part (full range) come from that list.  Semi-stable and stage are
 the stable extensions whenever there are any; otherwise stage extensions
 are the range-maximal maximal conflict-free sets, enumerated by
-Bron-Kerbosch and filtered as bitmasks.  D3 is grounded, stable and
-preferred under one budget.  The decision shortcuts: DC-CO and DC-PR are
-one admissible search from the grounded extension and the query, DS-PR
-stops at the first preferred extension without the query, DC-ST seeds the
-covering search with the query and DS-ST excludes it, each drawing at most
-one answer, and DS-CO is grounded membership.  ``dominated`` is the
-comparison that ``verify`` needs for PR, SST and STG; it stops at the
-first candidate that beats the set.
+Bron-Kerbosch and filtered as bitmasks.  The decision shortcuts draw at
+most one answer: DC-CO and DC-PR are one admissible search from the
+grounded extension and the query, DS-PR stops at the first preferred
+extension of the whole-framework walk without the query, DC-ST seeds the
+covering search with the query and DS-ST excludes it, and DS-CO is
+grounded membership.  ``dominated`` is the comparison that ``verify``
+needs for PR, SST and STG; it stops at the first candidate that beats the
+set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -51,11 +55,12 @@ canonical tie-break for SE (lexicographically least sorted member list).
 
 from __future__ import annotations
 
-from itertools import filterfalse
+from itertools import chain, filterfalse
 from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
 from .core import (ArgumentationFramework, attacked_mask, bits,
-                   grounded_extension, range_of)
+                   grounded_extension, has_full_range, range_of,
+                   strongly_connected_components)
 from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -238,8 +243,9 @@ class _AdmissibleSearch:
         None.  A closing walk first joins what S defends, accepts S only
         if ``_close`` succeeds, and then branches over the free arguments
         towards S's strict supersets.  While suspended, S is the set
-        accepted; when the walk ends, S and the exclusions are as they
-        were.
+        accepted; the consumer restores S before it resumes, and may avoid
+        a set holding S, which the walk then escapes.  When the walk ends,
+        S and the exclusions are as they were.
         """
         trail, tick, blocked = self.trail, self.budget.tick, self.blocked
         mark = len(trail)
@@ -249,8 +255,9 @@ class _AdmissibleSearch:
         while True:
             if choices is None and (not closing or self._close()):
                 yield
-                if closing:
-                    choices = [a for a in range(self.n) if not blocked[a]]
+                # Still None unless the consumer avoided a set holding S.
+                choices = ([a for a in range(self.n) if not blocked[a]]
+                           if closing else self._choices(pool) or [])
             if choices:
                 frames.append([choices, 0, len(trail)])
             while frames:
@@ -345,17 +352,95 @@ class _AdmissibleSearch:
                 self.undo_to(mark)
                 self.exclude(a)
 
-    def preferred(self) -> Iterator[Extension]:
-        """Yield the preferred extensions, PrefSAT-style: find an admissible
-        set inside none of those found so far, maximise it, and avoid it
-        from then on, until no such set is left."""
-        base = len(self.trail)
-        while self.admissible():
+    def preferred(self) -> Iterator[List[int]]:
+        """Yield the preferred extensions holding S, as member lists: at
+        each S accepted, grow S to a preferred extension, undo back to S,
+        avoid the extension and go on from S.  Avoided sets only grow, so
+        an exclusion made when a sibling failed stays valid."""
+        trail = self.trail
+        for _ in self._walk(self.open):
+            mark = len(trail)
             self._maximise()
             members = self.members()
+            self.undo_to(mark)
             self.avoid(members)
-            yield self.af.names_of(members)
-            self.undo_to(base)
+            yield members
+
+
+def _preferred(af: ArgumentationFramework,
+               budget: _Budget) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The preferred extensions of ``af``, each as the grounded
+    extension's indices and then its members in each component.
+
+    A depth-first walk over the components, ancestors first, picks at each
+    a preferred extension of the component conditioned on the picks above
+    it.  ``count[i]`` counts argument i's IN attackers so far and
+    ``count[n + i]`` its undecided ones; a component's extensions are
+    cached by its members' statuses: 0 dropped, 1 self-attacked, 2 free.
+    A branch ticks the budget where there is more than one extension.
+    """
+    n, targets = len(af), af.target_indices()
+    grounded = af.member_indices(grounded_extension(af))
+    count = [0] * (2 * n)
+    for i in grounded:
+        for y in targets[i]:
+            count[y] += 1
+    rest = [i for i in range(n) if not count[i] and i not in grounded]
+    pos = {i: k for k, i in enumerate(rest)}
+    succ = [[pos[y] for y in targets[i] if y in pos] for i in rest]
+    comps = [sorted(rest[k] for k in comp)
+             for comp in reversed(strongly_connected_components(succ))]
+    at = {i: c for c, comp in enumerate(comps) for i in comp}
+    caches: List[dict] = [{} for _ in comps]
+
+    def options(c: int) -> list:
+        # Per extension: its members, then the ``count`` entries it raises.
+        comp = comps[c]
+        key = bytes(0 if count[i] else 1 if count[n + i] else 2 for i in comp)
+        found = caches[c].get(key)
+        if found is None:
+            # The conditioned component, named by its indices in ``af``.
+            keep = [i for i, s in zip(comp, key) if s]
+            inside = set(keep)
+            sub = ArgumentationFramework(keep, [
+                (i, y) for i in keep for y in targets[i] if y in inside] + [
+                (i, i) for i, s in zip(comp, key) if s == 1])
+            later = [[y for y in targets[i] if at.get(y, c) > c] for i in keep]
+            found = caches[c][key] = []
+            for local in _AdmissibleSearch(sub, budget).preferred():
+                out = set(local).union(*map(sub.target_indices().__getitem__,
+                                            local))
+                found.append((tuple(keep[j] for j in sorted(local)), [
+                    y for j in local for y in later[j]] + [
+                    n + y for j, ys in enumerate(later) if j not in out
+                    for y in ys]))
+        return found
+
+    def shift(pick: tuple, d: int) -> None:
+        for y in pick[1]:
+            count[y] += d
+
+    tick, leaves, frames = budget.tick, [], []   # frame: [options, next]
+    picks: list = [(tuple(sorted(grounded)),)]
+    while True:
+        if len(picks) > len(comps):
+            leaves.append(tuple(p[0] for p in picks))
+        else:
+            frames.append([options(len(frames)), 0])
+        while True:
+            if not frames:
+                return leaves
+            found, k = frames[-1]
+            if len(picks) > len(frames):
+                shift(picks.pop(), -1)
+            if k < len(found):
+                break
+            frames.pop()
+        frames[-1][1] = k + 1
+        if len(found) > 1:
+            tick()
+        picks.append(found[k])
+        shift(found[k], 1)
 
 
 def _extensions(sem: Semantics, af: ArgumentationFramework,
@@ -378,17 +463,17 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
                 if r in widest]
     if sem == Semantics.CO:
         return list(_AdmissibleSearch(af, budget).complete())
-    preferred = list(_AdmissibleSearch(af, budget).preferred())
+    leaves = _preferred(af, budget)
+    if sem == Semantics.ID:
+        return [_ideal(af, leaves)]
+    preferred = [af.names_of(chain.from_iterable(leaf)) for leaf in leaves]
     if sem == Semantics.PR:
         return preferred
-    if sem == Semantics.SST:
-        # Semi-stable extensions are preferred: growing a complete set
-        # strictly grows its range, so a range-maximal complete set is
-        # set-maximal too.
-        ranges = [range_of(af, p) for p in preferred]
-        return [p for p, r in zip(preferred, ranges)
-                if not any(r is not o and r < o for o in ranges)]
-    return [_ideal(af, preferred)]
+    # Semi-stable extensions are preferred: growing a complete set strictly
+    # grows its range, so a range-maximal complete set is set-maximal too.
+    ranges = [range_of(af, p) for p in preferred]
+    return [p for p, r in zip(preferred, ranges)
+            if not any(r is not o and r < o for o in ranges)]
 
 
 def _maximal_masks(masks: Set[int]) -> Set[int]:
@@ -457,9 +542,10 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
             x |= 1 << v
 
 
-def _ideal(af: ArgumentationFramework,
-           preferred: List[Extension]) -> Extension:
-    base = set.intersection(*(af.member_indices(p) for p in preferred))
+def _ideal(af: ArgumentationFramework, leaves: list) -> Extension:
+    """The ideal extension, from the preferred ``leaves`` of ``_preferred``."""
+    base = set(chain.from_iterable(leaves[0])).intersection(
+        *map(chain.from_iterable, leaves))
     attackers, targets = af.attacker_indices(), af.target_indices()
     # The intersection of the preferred extensions is conflict-free, and its
     # admissible subsets are closed under union, so shrinking to the defended
@@ -486,30 +572,27 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     """Solve any catalog task with the search engine.
 
     Same answer contract as the enumeration-backed reference solver; raises
-    BudgetExceededError when the optional node budget runs out.  For D3 the
-    one budget spans the grounded, stable and preferred enumerations.
+    BudgetExceededError when the optional node budget runs out.  D3's
+    stable extensions are its preferred ones with full range.
     """
     b = _Budget(budget)
     if task.problem == "D3":
-        return Triathlon.of(_extensions(Semantics.GR, af, b),
-                            _extensions(Semantics.ST, af, b),
-                            _extensions(Semantics.PR, af, b))
+        preferred = _extensions(Semantics.PR, af, b)
+        return Triathlon.of([grounded_extension(af)], [
+            p for p in preferred if has_full_range(af, p)], preferred)
     sem, query = task.semantics, task.query
-    if query is not None:
-        af.index_of(query)
+    q = None if query is None else af.index_of(query)
 
     if task.problem == "DC":
-        if sem in (Semantics.CO, Semantics.PR):
+        if sem in (Semantics.CO, Semantics.PR, Semantics.ST):
             # Credulous acceptance under CO and PR is membership in some
             # admissible set, which extends to a preferred, hence complete,
-            # one; every complete set holds the grounded extension.
+            # one; every complete set holds the grounded extension.  Under
+            # ST the covering search is seeded with the query.
             search = _AdmissibleSearch(af, b)
-            return YesNo(search.seed([af.index_of(query)])
-                         and search.admissible())
-        if sem == Semantics.ST:
-            search = _AdmissibleSearch(af, b)
-            return YesNo(search.seed([af.index_of(query)])
-                         and next(search.stable(), None) is not None)
+            return YesNo(search.seed([q]) and (
+                next(search.stable(), None) is not None
+                if sem == Semantics.ST else search.admissible()))
         return YesNo(any(query in e for e in _extensions(sem, af, b)))
     if task.problem == "DS":
         if sem == Semantics.CO:
@@ -519,14 +602,14 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
         if sem == Semantics.ST:
             # Yes when the query is grounded, and vacuously yes when no
             # stable extension exists.
-            search, i = _AdmissibleSearch(af, b), af.index_of(query)
-            if search.member[i]:
+            search = _AdmissibleSearch(af, b)
+            if search.member[q]:
                 return YesNo(True)
-            search.exclude(i)
+            search.exclude(q)
             return YesNo(next(search.stable(), None) is None)
         if sem == Semantics.PR:
             # Stops at the first preferred extension without the query.
-            return YesNo(all(query in e for e in
+            return YesNo(all(q in e for e in
                              _AdmissibleSearch(af, b).preferred()))
         return YesNo(all(query in e for e in _extensions(sem, af, b)))
     if task.problem == "SE":
@@ -537,6 +620,11 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     return AllExtensions.of(_extensions(sem, af, b))
 
 
+# The last framework whose maximal conflict-free sets ``dominated`` drew to
+# the end, with the widest of their ranges.
+_stage_ranges: tuple = (None, set())
+
+
 def dominated(sem: Semantics, af: ArgumentationFramework,
               s: Extension) -> bool:
     """Whether some candidate strictly beats the set ``s`` under ``sem``:
@@ -544,7 +632,9 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
     extension with a strictly wider range, and for STG a maximal
     conflict-free set with a strictly wider range.  ``s`` is taken to be
     complete (PR, SST) or conflict-free (STG).  The search stops at the
-    first such witness; it is not budgeted.
+    first such witness; it is not budgeted.  For STG a search that ends
+    without one leaves the framework's widest ranges, which answer later
+    calls on the same framework.
     """
     sem, budget = Semantics(sem), _Budget(None)
     if sem == Semantics.PR:
@@ -556,16 +646,26 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
         # A complete extension lies inside a preferred one whose range is
         # at least as wide, so the preferred ones are the candidates.
         r = range_of(af, s)
-        return any(range_of(af, p) > r
+        return any(range_of(af, af.names_of(p)) > r
                    for p in _AdmissibleSearch(af, budget).preferred())
     if sem == Semantics.STG:
         # Ranges of conflict-free sets are dominated by ranges of maximal
-        # ones.
+        # ones.  An enumeration that finds no witness has seen them all, so
+        # later sets of the same framework are looked up in its widest.
+        global _stage_ranges
         r = af.mask_of(s)
         r |= attacked_mask(af, r)
-        ranges = (c | attacked_mask(af, c)
-                  for c in _maximal_conflict_free_masks(af, budget))
-        return any(rc != r and rc & r == r for rc in ranges)
+        seen, widest = _stage_ranges
+        if seen is af:
+            return r not in widest
+        ranges = set()
+        for c in _maximal_conflict_free_masks(af, budget):
+            rc = c | attacked_mask(af, c)
+            if rc != r and rc & r == r:
+                return True
+            ranges.add(rc)
+        _stage_ranges = (af, _maximal_masks(ranges))
+        return False
     raise ValueError(f"no dominance check for {sem}")
 
 

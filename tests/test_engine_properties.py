@@ -10,7 +10,9 @@ chains of such SCCs, plus a few stray attacks.
 * The admissible search finds an admissible superset of a conflict-free
   seed, inside none of the sets it avoids, exactly when the oracle has one.
 * Every task built on the search, and those that collapse to stable
-  semantics, agree with the oracle.
+  semantics, agree with the oracle; so do the tasks that need the whole
+  preferred list, which is built SCC by SCC, on chains of SCCs behind a
+  part the grounded extension decides.
 * Renaming and reordering the arguments changes no answer of any task.
 * Every labelling the reference labelling search of ``labelling.py``
   reports satisfies the three labelling conditions.  That search never
@@ -181,6 +183,40 @@ def test_admissible_search_tasks_match_the_oracle(af):
         for sem in (Semantics.PR, Semantics.SST):
             assert engine.dominated(sem, af, ext) == (ext not in exts[sem]), \
                 (sem, sorted(ext), sorted(af.attacks))
+
+
+@st.composite
+def scc_chains(draw):
+    """A structured framework behind a part the grounded extension
+    decides: unattacked arguments attacking into it, one argument they
+    attack that attacks into it too, and a tail attacked by one drawn
+    argument only, which is undecided when that one is."""
+    af = draw(structured_afs(max_args=7))
+    args, attacks = list(af.args), set(af.attacks)
+    into = st.sampled_from(args)
+    heads = [f"g{k}" for k in range(draw(st.integers(0, 2)))]
+    attacks |= {(g, draw(into)) for g in heads}
+    if heads:
+        attacks |= {(heads[0], "d"), ("d", draw(into))}
+    attacks.add((draw(into), "u"))
+    names = args + heads + ["u"] + (["d"] if heads else [])
+    return ArgumentationFramework(draw(st.permutations(names)), attacks)
+
+
+@SETTINGS
+@given(scc_chains())
+def test_preferred_tasks_solved_scc_by_scc_match_the_oracle(af):
+    # The preferred list is built component by component: members an IN
+    # argument attacks are dropped, those an undecided one attacks cannot
+    # join, and the grounded extension may leave nothing to decide.
+    exts = _matches_oracle(
+        af, (Semantics.GR, Semantics.ST, Semantics.PR, Semantics.SST,
+             Semantics.ID),
+        ("EE-PR", "SE-PR", "DS-PR", "SE-ID", "DC-ID", "EE-SST", "SE-SST",
+         "D3"))
+    for ext in oracle.oracle_enumerate(Semantics.CO, af):
+        assert engine.dominated(Semantics.SST, af, ext) == (
+            ext not in exts[Semantics.SST]), (sorted(ext), sorted(af.attacks))
 
 
 @st.composite

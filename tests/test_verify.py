@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 
+from afkit import engine
 from afkit.core import ArgumentationFramework
 from afkit.errors import UnknownArgumentError
 from afkit.oracle import oracle_enumerate
@@ -105,3 +106,29 @@ def test_stable_implies_semi_stable_and_stage():
             assert verify(Semantics.STG, af, s)
             assert verify(Semantics.PR, af, s)
     assert checked > 10
+
+
+def test_stage_extensions_of_one_framework_are_enumerated_once(monkeypatch):
+    # Three mutual pairs beside an odd cycle: no stable extension and 24
+    # stage extensions.  The first check draws every maximal conflict-free
+    # set and keeps the widest ranges; later checks on the same framework
+    # look the set's range up in them.
+    real = engine._maximal_conflict_free_masks
+    calls = []
+
+    def counted(af, budget):
+        calls.append(af)
+        return real(af, budget)
+
+    monkeypatch.setattr(engine, "_maximal_conflict_free_masks", counted)
+    af = _hand_built()["pairs_triangle"]
+    stage = set(oracle_enumerate(Semantics.STG, af))
+    assert not oracle_enumerate(Semantics.ST, af) and len(stage) == 24
+    assert all(verify(Semantics.STG, af, s) for s in stage)
+    near = {e ^ {a} for e in stage for a in af.args}
+    assert not any(verify(Semantics.STG, af, s) for s in near)
+    assert calls == [af]
+    # An equal framework that is another object is enumerated afresh.
+    copy = ArgumentationFramework(af.args, af.attacks)
+    assert all(verify(Semantics.STG, copy, s) for s in stage)
+    assert calls == [af, copy]
