@@ -10,7 +10,6 @@ generators (``generators``), and a solver-competition harness (``harness``).
 from .core import (ArgumentationFramework, defends, grounded_extension,
                    is_admissible, is_complete, is_conflict_free, range_of)
 from .engine import enumerate_extensions, solve_optimized
-from .oracle import oracle_enumerate, solve
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, all_task_names, parse_task)
 from .verify import verify
@@ -25,3 +24,14 @@ __all__ = [
     "enumerate_extensions", "verify", "parse_task", "all_task_names",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    # The oracle is loaded on first use, so a solver-mode call, which runs
+    # this file first, does not compile it.  ``verify`` stays eager: a lazy
+    # name would be shadowed by the ``afkit.verify`` submodule once that is
+    # imported.
+    if name in ("solve", "oracle_enumerate"):
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,7 +16,8 @@ backend).
 
 Solver mode loads only the solving modules.  The other subcommands live in
 ``afkit.subcommands``, which loads the generators and the harness, and is
-imported only when one of them is named.
+imported only when one of them is named; the exhaustive oracle is imported
+only by ``afkit oracle``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from . import engine, oracle
+from . import engine
 from .errors import AfkitError
 from .formats import FORMATS, load_framework
 from .solutions import write_solution
@@ -86,6 +87,7 @@ def _solver_mode(argv, backend: str) -> int:
     task = parse_task(opts.task, opts.query)
     af = load_framework(opts.file, opts.format)
     if backend == "oracle":
+        from . import oracle
         answer = oracle.solve(task, af)
     else:
         answer = engine.solve_optimized(task, af, budget=opts.budget)

@@ -215,14 +215,21 @@ def has_full_range(af: ArgumentationFramework, members: Iterable[str]) -> bool:
 
 
 def grounded_extension(af: ArgumentationFramework) -> Extension:
-    """Least fixed point of the defense operator, starting from the empty set.
+    """Least fixed point of the defense operator, from the empty set."""
+    return af.names_of(grounded_indices(af.attacker_indices(),
+                                        af.target_indices()))
+
+
+def grounded_indices(attackers: Sequence[Sequence[int]],
+                     targets: Sequence[Sequence[int]]) -> List[int]:
+    """The grounded extension of the framework on ``0..len(targets)-1``
+    whose argument i has the attackers ``attackers[i]`` and the targets
+    ``targets[i]``, as indices.
 
     Worklist implementation, linear in arguments plus attacks: an argument
     turns IN once all of its attackers are OUT; its targets turn OUT.
     """
-    n = len(af)
-    attackers = af.attacker_indices()
-    targets = af.target_indices()
+    n = len(targets)
     UNKNOWN, IN, OUT = 0, 1, 2
     state = [UNKNOWN] * n
     pending = [len(attackers[i]) for i in range(n)]
@@ -242,7 +249,7 @@ def grounded_extension(af: ArgumentationFramework) -> Extension:
                 pending[z] -= 1
                 if pending[z] == 0 and state[z] == UNKNOWN:
                     queue.append(z)
-    return af.names_of(in_set)
+    return in_set
 
 
 def strongly_connected_components(succ: Sequence[Sequence[int]]

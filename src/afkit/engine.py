@@ -30,24 +30,26 @@ everything, a decision draws at most one answer.  The search builds no
 per-argument bitmasks.
 
 ``_extensions`` is the one place where a semantics meets its algorithm.
-Grounded is the fixed point itself; complete and stable come from the
-search.  Preferred semantics is SCC-recursive (Baroni, Giacomin & Guida,
-AIJ 2005): the preferred list is built component by component over what
-the grounded extension leaves undecided, each component walked with the
-members an IN argument attacks dropped and a self-attack on those an
-undecided one attacks.  Semi-stable (range-maximal), ideal (the
+Grounded is the fixed point itself; complete comes from the closing
+search.  Preferred and stable semantics are SCC-recursive (Baroni,
+Giacomin & Guida, AIJ 2005): one driver builds both lists component by
+component over what the grounded extension leaves undecided, each
+component walked as a small framework, its members an IN argument attacks
+dropped and those an undecided one attacks given a self-attack.  Stable
+extensions leave nothing undecided; as stable semantics is not
+directional, a component with no stable extension under the picks above
+it ends that branch.  Semi-stable (range-maximal), ideal (the
 intersection, shrunk to a fixed point of the defense check) and D3's
-stable part (full range) come from that list.  Semi-stable and stage are
-the stable extensions whenever there are any; otherwise stage extensions
-are the range-maximal maximal conflict-free sets, enumerated by
-Bron-Kerbosch and filtered as bitmasks.  The decision shortcuts draw at
-most one answer: DC-CO and DC-PR are one admissible search from the
-grounded extension and the query, DS-PR stops at the first preferred
-extension of the whole-framework walk without the query, DC-ST seeds the
-covering search with the query and DS-ST excludes it, and DS-CO is
-grounded membership.  ``dominated`` is the comparison that ``verify``
-needs for PR, SST and STG; it stops at the first candidate that beats the
-set.
+stable part (full range) come from the preferred list.  Semi-stable and
+stage are the stable extensions whenever there are any; otherwise stage
+extensions are the range-maximal maximal conflict-free sets, enumerated by
+Bron-Kerbosch and filtered as bitmasks.  The decision shortcuts walk the
+whole framework and draw at most one answer: DC-CO and DC-PR are one
+admissible search from the grounded extension and the query, DS-PR stops
+at the first preferred extension without the query, DC-ST seeds the
+covering search with the query and DS-ST excludes it; DS-CO is grounded
+membership.  ``dominated`` is the comparison that ``verify`` needs for PR,
+SST and STG; it stops at the first candidate that beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -55,12 +57,15 @@ canonical tie-break for SE (lexicographically least sorted member list).
 
 from __future__ import annotations
 
+from bisect import insort
 from itertools import chain, filterfalse
-from typing import FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
+from operator import itemgetter
+from typing import (FrozenSet, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .core import (ArgumentationFramework, attacked_mask, bits,
-                   grounded_extension, has_full_range, range_of,
-                   strongly_connected_components)
+                   grounded_extension, grounded_indices, has_full_range,
+                   range_of, strongly_connected_components)
 from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -85,8 +90,9 @@ class _Budget:
 
 
 class _AdmissibleSearch:
-    """Goal-directed search over the conflict-free supersets of one AF's
-    grounded extension.
+    """Goal-directed search over the conflict-free supersets of the
+    grounded extension of the framework whose argument i has the attackers
+    ``attackers[i]`` and the targets ``targets[i]``.
 
     The set S under construction is conflict-free.  Per argument it keeps
     the number of members it attacks and the number that attack it, so an
@@ -100,11 +106,10 @@ class _AdmissibleSearch:
     (an exclusion as ``~i``) and are undone back to a mark.
     """
 
-    def __init__(self, af: ArgumentationFramework, budget: _Budget):
-        self.af = af
-        n = self.n = len(af)
-        self.attackers = af.attacker_indices()
-        self.targets = af.target_indices()
+    def __init__(self, attackers: Sequence[Sequence[int]],
+                 targets: Sequence[Sequence[int]], budget: _Budget):
+        n = self.n = len(targets)
+        self.attackers, self.targets = attackers, targets
         self.tgt_in = [0] * n     # members each argument attacks
         self.att_in = [0] * n     # members attacking each argument
         self.blocked = [int(i in ts) for i, ts in enumerate(self.targets)]
@@ -120,7 +125,7 @@ class _AdmissibleSearch:
         self.avoided: List[Set[int]] = []
         self.missing = [0] * n
         self.escaped = [0]
-        for i in af.member_indices(grounded_extension(af)):
+        for i in grounded_indices(attackers, targets):
             self.join(i)
 
     def join(self, i: int) -> None:
@@ -290,20 +295,16 @@ class _AdmissibleSearch:
             return True
         return False
 
-    def _sets(self, walk: Iterator[None]) -> Iterator[Extension]:
-        for _ in walk:
-            yield self.af.names_of(self.members())
-
-    def stable(self) -> Iterator[Extension]:
-        """Yield the stable extensions holding S, each once."""
+    def stable(self) -> Iterator[List[int]]:
+        """Yield each stable extension holding S once, as a member list."""
         att_in, member = self.att_in, self.member
         self.uncovered = {i for i in range(self.n)
                           if not member[i] and not att_in[i]}
-        return self._sets(self._walk(self.uncovered))
+        return (self.members() for _ in self._walk(self.uncovered))
 
-    def complete(self) -> Iterator[Extension]:
-        """Yield the complete extensions holding S, each once."""
-        return self._sets(self._walk(self.open, closing=True))
+    def complete(self) -> Iterator[List[int]]:
+        """Yield each complete extension holding S once, as a member list."""
+        return (self.members() for _ in self._walk(self.open, closing=True))
 
     def _close(self) -> bool:
         """Join every argument the admissible S defends; S stays admissible
@@ -367,80 +368,94 @@ class _AdmissibleSearch:
             yield members
 
 
-def _preferred(af: ArgumentationFramework,
-               budget: _Budget) -> List[Tuple[Tuple[int, ...], ...]]:
-    """The preferred extensions of ``af``, each as the grounded
-    extension's indices and then its members in each component.
+def _search(af: ArgumentationFramework, budget: _Budget) -> _AdmissibleSearch:
+    return _AdmissibleSearch(af.attacker_indices(), af.target_indices(), budget)
+
+
+def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
+                   ) -> List[Tuple[Tuple[int, ...], ...]]:
+    """The extensions that ``walk``, ``_AdmissibleSearch.preferred`` or
+    ``.stable``, yields, found SCC by SCC: each is the grounded extension's
+    indices and then its members in each component.
 
     A depth-first walk over the components, ancestors first, picks at each
-    a preferred extension of the component conditioned on the picks above
-    it.  ``count[i]`` counts argument i's IN attackers so far and
-    ``count[n + i]`` its undecided ones; a component's extensions are
-    cached by its members' statuses: 0 dropped, 1 self-attacked, 2 free.
-    A branch ticks the budget where there is more than one extension.
+    an extension of the component conditioned on the picks above it.
+    ``count[i]`` counts argument i's IN attackers so far and
+    ``count[n + i]`` its undecided ones; ``status[i]`` is then 0 (dropped),
+    1 (self-attacked) or 2 (free), and a component's extensions are cached
+    by its members' statuses.  A branch ticks the budget where there is
+    more than one extension; a component with none ends the branch.
     """
     n, targets = len(af), af.target_indices()
-    grounded = af.member_indices(grounded_extension(af))
-    count = [0] * (2 * n)
-    for i in grounded:
-        for y in targets[i]:
-            count[y] += 1
-    rest = [i for i in range(n) if not count[i] and i not in grounded]
+    grounded = set(grounded_indices(af.attacker_indices(), targets))
+    decided = grounded.union(*map(targets.__getitem__, grounded))
+    rest = [i for i in range(n) if i not in decided]
     pos = {i: k for k, i in enumerate(rest)}
     succ = [[pos[y] for y in targets[i] if y in pos] for i in rest]
     comps = [sorted(rest[k] for k in comp)
              for comp in reversed(strongly_connected_components(succ))]
     at = {i: c for c, comp in enumerate(comps) for i in comp}
+    keys = [itemgetter(*comp) for comp in comps]
     caches: List[dict] = [{} for _ in comps]
+    count, status = [0] * (2 * n), bytearray(b"\2") * n
 
     def options(c: int) -> list:
         # Per extension: its members, then the ``count`` entries it raises.
-        comp = comps[c]
-        key = bytes(0 if count[i] else 1 if count[n + i] else 2 for i in comp)
+        key = keys[c](status)
         found = caches[c].get(key)
         if found is None:
-            # The conditioned component, named by its indices in ``af``.
-            keep = [i for i, s in zip(comp, key) if s]
-            inside = set(keep)
-            sub = ArgumentationFramework(keep, [
-                (i, y) for i in keep for y in targets[i] if y in inside] + [
-                (i, i) for i, s in zip(comp, key) if s == 1])
+            # The conditioned component, by local index: position in keep.
+            keep = [i for i in comps[c] if status[i]]
+            local = {i: j for j, i in enumerate(keep)}
+            tgts = [[local[y] for y in targets[i] if y in local] for i in keep]
+            atts: List[List[int]] = [[] for _ in keep]
+            for j, ys in enumerate(tgts):
+                if status[keep[j]] == 1 and j not in ys:
+                    insort(ys, j)
+                for y in ys:
+                    atts[y].append(j)
             later = [[y for y in targets[i] if at.get(y, c) > c] for i in keep]
             found = caches[c][key] = []
-            for local in _AdmissibleSearch(sub, budget).preferred():
-                out = set(local).union(*map(sub.target_indices().__getitem__,
-                                            local))
-                found.append((tuple(keep[j] for j in sorted(local)), [
-                    y for j in local for y in later[j]] + [
+            for members in walk(_AdmissibleSearch(atts, tgts, budget)):
+                out = set(members).union(*map(tgts.__getitem__, members))
+                found.append((tuple(keep[j] for j in sorted(members)), [
+                    y for j in members for y in later[j]] + [
                     n + y for j, ys in enumerate(later) if j not in out
                     for y in ys]))
         return found
 
-    def shift(pick: tuple, d: int) -> None:
-        for y in pick[1]:
+    def shift(raises: list, d: int) -> None:
+        for y in raises:
             count[y] += d
+            i = y % n
+            status[i] = 0 if count[i] else 1 if count[n + i] else 2
 
-    tick, leaves, frames = budget.tick, [], []   # frame: [options, next]
-    picks: list = [(tuple(sorted(grounded)),)]
+    # ``stack`` holds (options, pick) per component picked but the last.
+    tick, leaves, last = budget.tick, [], len(comps) - 1
+    chosen, stack = [tuple(sorted(grounded))], []
+    if last < 0:
+        return [tuple(chosen)]
+    found, k = options(0), 0
     while True:
-        if len(picks) > len(comps):
-            leaves.append(tuple(p[0] for p in picks))
-        else:
-            frames.append([options(len(frames)), 0])
-        while True:
-            if not frames:
-                return leaves
-            found, k = frames[-1]
-            if len(picks) > len(frames):
-                shift(picks.pop(), -1)
-            if k < len(found):
-                break
-            frames.pop()
-        frames[-1][1] = k + 1
-        if len(found) > 1:
-            tick()
-        picks.append(found[k])
-        shift(found[k], 1)
+        if len(stack) == last:
+            for members, _ in found:
+                if len(found) > 1:
+                    tick()
+                leaves.append((*chosen, members))
+        elif k < len(found):
+            if len(found) > 1:
+                tick()
+            stack.append((found, k))
+            chosen.append(found[k][0])
+            shift(found[k][1], 1)
+            found, k = options(len(stack)), 0
+            continue
+        if not stack:
+            return leaves
+        found, k = stack.pop()
+        chosen.pop()
+        shift(found[k][1], -1)
+        k += 1
 
 
 def _extensions(sem: Semantics, af: ArgumentationFramework,
@@ -450,7 +465,8 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     if sem == Semantics.GR:
         return [grounded_extension(af)]
     if sem in (Semantics.ST, Semantics.SST, Semantics.STG):
-        stable = list(_AdmissibleSearch(af, budget).stable())
+        stable = [af.names_of(chain.from_iterable(leaf)) for leaf in
+                  _scc_recursive(af, budget, _AdmissibleSearch.stable)]
         # When stable extensions exist they are exactly the semi-stable and
         # the stage ones (Caminada 2006).
         if sem == Semantics.ST or stable:
@@ -462,8 +478,8 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
         return [af.set_of(c) for c, r in zip(candidates, ranges)
                 if r in widest]
     if sem == Semantics.CO:
-        return list(_AdmissibleSearch(af, budget).complete())
-    leaves = _preferred(af, budget)
+        return [af.names_of(m) for m in _search(af, budget).complete()]
+    leaves = _scc_recursive(af, budget, _AdmissibleSearch.preferred)
     if sem == Semantics.ID:
         return [_ideal(af, leaves)]
     preferred = [af.names_of(chain.from_iterable(leaf)) for leaf in leaves]
@@ -509,10 +525,7 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
     n = len(af)
     am = af.attacker_masks()
     tm = af.target_masks()
-    universe = 0
-    for i in range(n):
-        if not (tm[i] >> i) & 1:
-            universe |= 1 << i
+    universe = sum(1 << i for i in range(n) if not (tm[i] >> i) & 1)
     conflict = [0] * n
     for i in bits(universe):
         conflict[i] = (am[i] | tm[i]) & universe & ~(1 << i)
@@ -543,7 +556,7 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
 
 
 def _ideal(af: ArgumentationFramework, leaves: list) -> Extension:
-    """The ideal extension, from the preferred ``leaves`` of ``_preferred``."""
+    """The ideal extension, from the preferred leaves of ``_scc_recursive``."""
     base = set(chain.from_iterable(leaves[0])).intersection(
         *map(chain.from_iterable, leaves))
     attackers, targets = af.attacker_indices(), af.target_indices()
@@ -551,9 +564,7 @@ def _ideal(af: ArgumentationFramework, leaves: list) -> Extension:
     # admissible subsets are closed under union, so shrinking to the defended
     # core yields the unique maximal admissible subset.
     while True:
-        attacked = set()
-        for i in base:
-            attacked.update(targets[i])
+        attacked = set().union(*map(targets.__getitem__, base))
         kept = {i for i in base if all(z in attacked for z in attackers[i])}
         if len(kept) == len(base):
             return af.names_of(base)
@@ -589,7 +600,7 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
             # admissible set, which extends to a preferred, hence complete,
             # one; every complete set holds the grounded extension.  Under
             # ST the covering search is seeded with the query.
-            search = _AdmissibleSearch(af, b)
+            search = _search(af, b)
             return YesNo(search.seed([q]) and (
                 next(search.stable(), None) is not None
                 if sem == Semantics.ST else search.admissible()))
@@ -602,21 +613,18 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
         if sem == Semantics.ST:
             # Yes when the query is grounded, and vacuously yes when no
             # stable extension exists.
-            search = _AdmissibleSearch(af, b)
+            search = _search(af, b)
             if search.member[q]:
                 return YesNo(True)
             search.exclude(q)
             return YesNo(next(search.stable(), None) is None)
         if sem == Semantics.PR:
             # Stops at the first preferred extension without the query.
-            return YesNo(all(q in e for e in
-                             _AdmissibleSearch(af, b).preferred()))
+            return YesNo(all(q in e for e in _search(af, b).preferred()))
         return YesNo(all(query in e for e in _extensions(sem, af, b)))
     if task.problem == "SE":
-        extensions = _extensions(sem, af, b)
-        if not extensions:
-            return OneExtension(None)
-        return OneExtension(min(extensions, key=sorted_members))
+        return OneExtension(min(_extensions(sem, af, b), key=sorted_members,
+                                default=None))
     return AllExtensions.of(_extensions(sem, af, b))
 
 
@@ -638,7 +646,7 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
     """
     sem, budget = Semantics(sem), _Budget(None)
     if sem == Semantics.PR:
-        search = _AdmissibleSearch(af, budget)
+        search = _search(af, budget)
         members = af.member_indices(s)
         search.avoid(members)
         return search.seed(members) and search.admissible()
@@ -647,7 +655,7 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
         # at least as wide, so the preferred ones are the candidates.
         r = range_of(af, s)
         return any(range_of(af, af.names_of(p)) > r
-                   for p in _AdmissibleSearch(af, budget).preferred())
+                   for p in _search(af, budget).preferred())
     if sem == Semantics.STG:
         # Ranges of conflict-free sets are dominated by ranges of maximal
         # ones.  An enumeration that finds no witness has seen them all, so

@@ -16,6 +16,7 @@ import sys
 from dataclasses import asdict
 from pathlib import Path
 
+from .core import strongly_connected_components
 from .errors import AfkitError
 from .formats import FORMATS, load_framework, write_framework
 from .generators import (PRESET_DOMAINS, Traffic, generate, parse_batch_file,
@@ -105,9 +106,12 @@ def _cmd_generate(argv) -> int:
             name = f"{kind}_{index:05d}.{opts.format}"
             (out / name).write_text(write_framework(af, opts.format),
                                     encoding="utf-8")
+            sccs = strongly_connected_components(af.target_indices())
             manifest.append({"file": name, "domain": kind,
                              "config": asdict(cfg), "seed": opts.seed,
-                             "args": len(af.args), "attacks": len(af.attacks)})
+                             "args": len(af.args), "attacks": len(af.attacks),
+                             "sccs": len(sccs),
+                             "largest_scc": max(map(len, sccs), default=0)})
             index += 1
     (out / "instances.json").write_text(json.dumps(manifest, indent=2) + "\n",
                                         encoding="utf-8")

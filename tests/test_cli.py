@@ -1,10 +1,11 @@
 import json
 import sys
 
+import networkx as nx
 import pytest
 
 from afkit import cli, oracle
-from afkit.formats import write_apx
+from afkit.formats import load_framework, write_apx
 from afkit.generators import ErdosRenyi, gen_erdos
 from afkit.rng import SeededRng
 from afkit.solutions import parse_solution
@@ -116,7 +117,7 @@ class TestImportBoundary:
     # Solver mode must not pay for the competition harness or the
     # generators: each ICCMA call is a fresh process, timed from spawn.
     HEAVY = {"afkit.harness", "afkit.generators", "afkit.subcommands",
-             "concurrent.futures", "csv"}
+             "afkit.oracle", "concurrent.futures", "csv"}
 
     def test_solver_call_loads_only_the_solving_modules(self, example1_apx):
         loaded = _imported_modules("-m", "afkit", "-f", example1_apx,
@@ -128,6 +129,13 @@ class TestImportBoundary:
         loaded = _imported_modules("-m", "afkit", "--problems")
         assert "afkit.cli" in loaded
         assert not loaded & self.HEAVY
+
+    def test_oracle_names_resolve_on_first_use(self):
+        import afkit
+        assert afkit.solve is oracle.solve
+        assert afkit.oracle_enumerate is oracle.oracle_enumerate
+        with pytest.raises(AttributeError):
+            afkit.no_such_name
 
 
 class TestGenerate:
@@ -142,6 +150,28 @@ class TestGenerate:
         assert len(files) == 4
         manifest = json.loads((out_dir / "instances.json").read_text())
         assert {m["domain"] for m in manifest} == {"erdosrenyi", "admbuster"}
+
+    def test_manifest_counts_the_sccs(self, capsys, tmp_path):
+        out_dir = tmp_path / "inst"
+        code, _, _ = run_cli(capsys, "generate", "--out", str(out_dir),
+                             "--seed", "3", "--spec",
+                             "scc n=30 n_sccs=4 inner_attack_prob=0.6 "
+                             "outer_attack_prob=0.05 count=2",
+                             "--spec", "admbuster n=6")
+        assert code == 0
+        manifest = json.loads((out_dir / "instances.json").read_text())
+        assert len(manifest) == 3
+        for row in manifest:
+            af = load_framework(out_dir / row["file"])
+            g = nx.DiGraph()
+            g.add_nodes_from(af.args)
+            g.add_edges_from(af.attacks)
+            sizes = [len(c) for c in nx.strongly_connected_components(g)]
+            assert (row["sccs"], row["largest_scc"]) == (len(sizes),
+                                                         max(sizes))
+        # AdmBuster is acyclic: every argument is a component of its own.
+        assert (manifest[2]["sccs"], manifest[2]["largest_scc"]) == (6, 1)
+        assert max(row["largest_scc"] for row in manifest[:2]) > 1
 
     def test_deterministic_across_runs(self, capsys, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -165,7 +195,6 @@ class TestGenerate:
         out_dir = tmp_path / "inst"
         run_cli(capsys, "generate", "--out", str(out_dir), "--format", "tgf",
                 "--spec", "erdos n=5 prob_attacks=0.5")
-        from afkit.formats import load_framework
         af = load_framework(next(out_dir.glob("*.tgf")))
         assert len(af.args) == 5
 

@@ -11,8 +11,8 @@ chains of such SCCs, plus a few stray attacks.
   seed, inside none of the sets it avoids, exactly when the oracle has one.
 * Every task built on the search, and those that collapse to stable
   semantics, agree with the oracle; so do the tasks that need the whole
-  preferred list, which is built SCC by SCC, on chains of SCCs behind a
-  part the grounded extension decides.
+  preferred or stable list, which is built SCC by SCC, on chains of SCCs
+  behind a part the grounded extension decides.
 * Renaming and reordering the arguments changes no answer of any task.
 * Every labelling the reference labelling search of ``labelling.py``
   reports satisfies the three labelling conditions.  That search never
@@ -78,7 +78,17 @@ def _once(found, expected):
 
 
 def _search(af):
-    return engine._AdmissibleSearch(af, engine._Budget(None))
+    return engine._search(af, engine._Budget(None))
+
+
+def _named(af, yielded):
+    """The member index lists a search yields, as extensions; each list
+    names every member once."""
+    found = []
+    for members in yielded:
+        assert len(members) == len(set(members)), sorted(members)
+        found.append(af.names_of(members))
+    return found
 
 
 @SETTINGS
@@ -88,16 +98,16 @@ def test_covering_and_closing_searches_yield_the_oracle_extensions(case):
     i = af.index_of(q)
     stable = oracle.oracle_enumerate(Semantics.ST, af)
     seeded = _search(af)
-    found = list(seeded.stable()) if seeded.seed([i]) else []
+    found = _named(af, seeded.stable()) if seeded.seed([i]) else []
     assert _once(found, [e for e in stable if q in e]), sorted(af.attacks)
     # A grounded query is in every stable extension, so none omits it.
     excluding = _search(af)
     found = []
     if not excluding.member[i]:
         excluding.exclude(i)
-        found = list(excluding.stable())
+        found = _named(af, excluding.stable())
     assert _once(found, [e for e in stable if q not in e]), sorted(af.attacks)
-    assert _once(list(_search(af).complete()),
+    assert _once(_named(af, _search(af).complete()),
                  oracle.oracle_enumerate(Semantics.CO, af)), sorted(af.attacks)
 
 
@@ -206,14 +216,17 @@ def scc_chains(draw):
 @SETTINGS
 @given(scc_chains())
 def test_preferred_tasks_solved_scc_by_scc_match_the_oracle(af):
-    # The preferred list is built component by component: members an IN
-    # argument attacks are dropped, those an undecided one attacks cannot
-    # join, and the grounded extension may leave nothing to decide.
+    # The preferred and the stable lists are built component by component:
+    # members an IN argument attacks are dropped, those an undecided one
+    # attacks cannot join, a component with no stable extension under the
+    # picks above it ends the branch, and the grounded extension may leave
+    # nothing to decide.
     exts = _matches_oracle(
         af, (Semantics.GR, Semantics.ST, Semantics.PR, Semantics.SST,
-             Semantics.ID),
+             Semantics.STG, Semantics.ID),
         ("EE-PR", "SE-PR", "DS-PR", "SE-ID", "DC-ID", "EE-SST", "SE-SST",
-         "D3"))
+         "D3", "EE-ST", "SE-ST", "DC-ST", "DS-ST", "EE-STG", "SE-STG",
+         "DC-STG", "DS-STG"))
     for ext in oracle.oracle_enumerate(Semantics.CO, af):
         assert engine.dominated(Semantics.SST, af, ext) == (
             ext not in exts[Semantics.SST]), (sorted(ext), sorted(af.attacks))
