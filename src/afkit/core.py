@@ -7,6 +7,11 @@ conflict-freeness, defense, range, admissibility, completeness, the
 grounded fixed point, and the strongly connected components of an attack
 graph.
 
+A framework holds its argument names and its attacks as index adjacency
+lists, and nothing else.  The code that scans argument subsets as bitmasks,
+the exhaustive oracle and the engine's stage semantics, builds the masks it
+needs from those lists itself, so that the two share no mask code.
+
 All types are immutable values; every function here is pure and safe to call
 concurrently.
 """
@@ -29,8 +34,7 @@ class ArgumentationFramework:
     are allowed.  Duplicate argument ids collapse to their first occurrence.
     """
 
-    __slots__ = ("_args", "_attacks", "_index", "_attackers", "_targets",
-                 "_attacker_masks", "_target_masks")
+    __slots__ = ("_args", "_attacks", "_index", "_attackers", "_targets")
 
     def __init__(self, args: Iterable[ArgumentId],
                  attacks: Iterable[Tuple[ArgumentId, ArgumentId]] = ()):
@@ -62,11 +66,6 @@ class ArgumentationFramework:
         del codes   # its memory serves the tuples below
         self._attackers = tuple(map(tuple, attackers))
         self._targets = tuple(map(tuple, targets))
-        # Bitmask views are built on demand: they are what the exhaustive
-        # oracle wants, but at generator scale (10^6 arguments) per-argument
-        # masks would dominate memory.
-        self._attacker_masks = None
-        self._target_masks = None
 
     @property
     def args(self) -> Tuple[str, ...]:
@@ -113,37 +112,11 @@ class ArgumentationFramework:
     def target_indices(self) -> Tuple[Tuple[int, ...], ...]:
         return self._targets
 
-    def attacker_masks(self) -> Tuple[int, ...]:
-        if self._attacker_masks is None:
-            self._attacker_masks = tuple(_mask(v) for v in self._attackers)
-        return self._attacker_masks
-
-    def target_masks(self) -> Tuple[int, ...]:
-        if self._target_masks is None:
-            self._target_masks = tuple(_mask(v) for v in self._targets)
-        return self._target_masks
-
     def member_indices(self, members: Iterable[str]) -> Set[int]:
         return {self.index_of(a) for a in members}
 
-    def mask_of(self, members: Iterable[str]) -> int:
-        m = 0
-        for a in members:
-            m |= 1 << self.index_of(a)
-        return m
-
-    def set_of(self, mask: int) -> Extension:
-        return frozenset(self._args[i] for i in bits(mask))
-
     def names_of(self, indices: Iterable[int]) -> Extension:
         return frozenset(self._args[i] for i in indices)
-
-
-def _mask(indices: Iterable[int]) -> int:
-    m = 0
-    for i in indices:
-        m |= 1 << i
-    return m
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -307,42 +280,3 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]
                     low[work[-1][0]] = low[v]
     return components
 
-
-# Mask-level predicate helpers shared with the exhaustive oracle.
-
-def attacked_mask(af: ArgumentationFramework, mask: int) -> int:
-    attacked = 0
-    tm = af.target_masks()
-    for i in bits(mask):
-        attacked |= tm[i]
-    return attacked
-
-
-def conflict_free_mask(af: ArgumentationFramework, mask: int) -> bool:
-    tm = af.target_masks()
-    for i in bits(mask):
-        if tm[i] & mask:
-            return False
-    return True
-
-
-def admissible_mask(af: ArgumentationFramework, mask: int) -> bool:
-    if not conflict_free_mask(af, mask):
-        return False
-    attacked = attacked_mask(af, mask)
-    am = af.attacker_masks()
-    for i in bits(mask):
-        if am[i] & ~attacked:
-            return False
-    return True
-
-
-def complete_mask(af: ArgumentationFramework, mask: int) -> bool:
-    if not admissible_mask(af, mask):
-        return False
-    attacked = attacked_mask(af, mask)
-    am = af.attacker_masks()
-    for i in range(len(af)):
-        if not (mask >> i) & 1 and am[i] & ~attacked == 0:
-            return False
-    return True

@@ -63,9 +63,9 @@ from operator import itemgetter
 from typing import (FrozenSet, Iterable, Iterator, List, Optional, Sequence,
                     Set, Tuple)
 
-from .core import (ArgumentationFramework, attacked_mask, bits,
-                   grounded_extension, grounded_indices, has_full_range,
-                   range_of, strongly_connected_components)
+from .core import (ArgumentationFramework, bits, grounded_extension,
+                   grounded_indices, has_full_range, range_of,
+                   strongly_connected_components)
 from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -472,10 +472,11 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
         if sem == Semantics.ST or stable:
             return stable
     if sem == Semantics.STG:
-        candidates = list(_maximal_conflict_free_masks(af, budget))
-        ranges = [c | attacked_mask(af, c) for c in candidates]
+        candidates = list(_maximal_conflict_free_sets(af, budget))
+        tm = list(map(_mask, af.target_indices()))
+        ranges = [_range(tm, c) for c in candidates]
         widest = _maximal_masks(set(ranges))
-        return [af.set_of(c) for c, r in zip(candidates, ranges)
+        return [af.names_of(bits(c)) for c, r in zip(candidates, ranges)
                 if r in widest]
     if sem == Semantics.CO:
         return [af.names_of(m) for m in _search(af, budget).complete()]
@@ -490,6 +491,21 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     ranges = [range_of(af, p) for p in preferred]
     return [p for p, r in zip(preferred, ranges)
             if not any(r is not o and r < o for o in ranges)]
+
+
+def _mask(indices: Iterable[int]) -> int:
+    """The bitmask of ``indices``; only the stage code builds masks."""
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
+
+
+def _range(tm: List[int], m: int) -> int:
+    r = m
+    for i in bits(m):
+        r |= tm[i]
+    return r
 
 
 def _maximal_masks(masks: Set[int]) -> Set[int]:
@@ -517,19 +533,14 @@ def _maximal_masks(masks: Set[int]) -> Set[int]:
     return set(kept)
 
 
-def _maximal_conflict_free_masks(af: ArgumentationFramework,
-                                 budget: _Budget) -> Iterator[int]:
+def _maximal_conflict_free_sets(af: ArgumentationFramework,
+                                budget: _Budget) -> Iterator[int]:
     """Yield the maximal conflict-free sets, as masks: maximal independent
-    sets of the conflict graph over the non-self-attacking arguments
-    (Bron-Kerbosch with pivoting on the implicit complement graph)."""
-    n = len(af)
-    am = af.attacker_masks()
-    tm = af.target_masks()
-    universe = sum(1 << i for i in range(n) if not (tm[i] >> i) & 1)
-    conflict = [0] * n
-    for i in bits(universe):
-        conflict[i] = (am[i] | tm[i]) & universe & ~(1 << i)
-    full = (1 << n) - 1
+    sets of the conflict graph on the non-self-attacking arguments, where P
+    and X stay (Bron-Kerbosch with pivoting on the implicit complement)."""
+    targets = af.target_indices()
+    universe = sum(1 << i for i, ts in enumerate(targets) if i not in ts)
+    conflict = list(map(_mask, map(chain, af.attacker_indices(), targets)))
 
     stack = [(0, universe, 0)]
     while stack:
@@ -541,7 +552,7 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
         # The pivot leaves the most of P unexpanded: it is the first
         # argument, in index order, with the fewest conflicts inside P.  No
         # argument has fewer than none, so finding one ends the scan.
-        pivot, fewest = -1, n + 1
+        pivot, fewest = -1, len(targets) + 1
         for u in bits(p | x):
             c = (p & conflict[u]).bit_count()
             if c < fewest:
@@ -549,7 +560,7 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework,
                 if not c:
                     break
         for v in bits(p & (conflict[pivot] | 1 << pivot)):
-            nv = full & ~conflict[v] & ~(1 << v)
+            nv = universe & ~conflict[v] & ~(1 << v)
             stack.append((r | (1 << v), p & nv, x & nv))
             p &= ~(1 << v)
             x |= 1 << v
@@ -629,8 +640,8 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
 
 
 # The last framework whose maximal conflict-free sets ``dominated`` drew to
-# the end, with the widest of their ranges.
-_stage_ranges: tuple = (None, set())
+# the end, with its target masks and the widest of their ranges.
+_stage_ranges: tuple = (None, [], set())
 
 
 def dominated(sem: Semantics, af: ArgumentationFramework,
@@ -661,18 +672,19 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
         # ones.  An enumeration that finds no witness has seen them all, so
         # later sets of the same framework are looked up in its widest.
         global _stage_ranges
-        r = af.mask_of(s)
-        r |= attacked_mask(af, r)
-        seen, widest = _stage_ranges
+        seen, tm, widest = _stage_ranges
+        if seen is not af:
+            tm = list(map(_mask, af.target_indices()))
+        r = _range(tm, _mask(af.member_indices(s)))
         if seen is af:
             return r not in widest
         ranges = set()
-        for c in _maximal_conflict_free_masks(af, budget):
-            rc = c | attacked_mask(af, c)
+        for c in _maximal_conflict_free_sets(af, budget):
+            rc = _range(tm, c)
             if rc != r and rc & r == r:
                 return True
             ranges.add(rc)
-        _stage_ranges = (af, _maximal_masks(ranges))
+        _stage_ranges = (af, tm, _maximal_masks(ranges))
         return False
     raise ValueError(f"no dominance check for {sem}")
 

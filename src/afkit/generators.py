@@ -12,7 +12,9 @@ SeededRng, one per generation phase.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from .core import ArgumentationFramework, strongly_connected_components
@@ -418,26 +420,19 @@ def gen_barabasi(cfg: BarabasiAlbert, rng: SeededRng) -> ArgumentationFramework:
     n = cfg.n
     names = _names(n)
     grow = rng.split("grow")
-    degree = [0] * n
+    odds = [1] * n  # degree + 1
     edges: Set[Tuple[int, int]] = set()
-    total = 1  # sum(degree[u] + 1 for u in range(v)), kept as a running sum
     for v in range(1, n):
         wanted = min(BARABASI_ATTACHMENTS, v)
+        cumulative = list(accumulate(odds[:v]))
         chosen: Set[int] = set()
         while len(chosen) < wanted:
-            pick = grow.randbelow(total)
-            acc = 0
-            for u in range(v):
-                acc += degree[u] + 1
-                if pick < acc:
-                    chosen.add(u)
-                    break
+            pick = grow.randbelow(cumulative[-1])
+            chosen.add(bisect_right(cumulative, pick))
         for u in chosen:
             edges.add((u, v))
-            degree[u] += 1
-            degree[v] += 1
-        # Each chosen edge adds one to both ends; vertex v joins with its own +1.
-        total += 1 + 2 * len(chosen)
+            odds[u] += 1
+            odds[v] += 1
     orient = rng.split("orient")
     attacks: Set[Tuple[int, int]] = set()
     for u, v in sorted(edges):

@@ -2,16 +2,19 @@
 
 This is the reference backend: every semantics is evaluated by scanning the
 full power set of arguments and applying the defining conditions directly.
-It is exact and independent of the optimized search engine, and is capped
-(default 20 arguments) so a mistaken call cannot scan 2^1000 subsets.
+It is exact and independent of the optimized search engine: it takes only
+the framework type and ``bits`` from ``core``, builds per-argument attacker
+and target bitmasks from the index adjacency lists once per call, and keeps
+its subset predicates to itself, so that a fault in a helper cannot make
+the engine agree with its reference.  It is capped (default 20 arguments)
+so a mistaken call cannot scan 2^1000 subsets.
 """
 
 from __future__ import annotations
 
-from typing import List, Tuple
+from typing import Iterable, List, Tuple
 
-from .core import (ArgumentationFramework, admissible_mask, attacked_mask,
-                   complete_mask, conflict_free_mask, grounded_extension)
+from .core import ArgumentationFramework, bits
 from .errors import OracleSizeError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -19,40 +22,78 @@ from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
 DEFAULT_SIZE_CAP = 20
 
 
-def _scan_masks(af: ArgumentationFramework, predicate) -> List[int]:
-    n = len(af)
-    return [m for m in range(1 << n) if predicate(af, m)]
+def _mask(indices: Iterable[int]) -> int:
+    m = 0
+    for i in indices:
+        m |= 1 << i
+    return m
 
 
-def _complete_masks(af: ArgumentationFramework) -> List[int]:
-    return _scan_masks(af, complete_mask)
+def _masks(af: ArgumentationFramework, size_cap: int
+           ) -> Tuple[List[int], List[int]]:
+    """Per argument, the mask of its attackers and the mask of its targets;
+    raises OracleSizeError when ``af`` has more than ``size_cap``
+    arguments."""
+    if len(af) > size_cap:
+        raise OracleSizeError(
+            f"{len(af)} arguments exceed the oracle size cap of {size_cap}")
+    return ([_mask(v) for v in af.attacker_indices()],
+            [_mask(v) for v in af.target_indices()])
 
 
-def _maximal(items: List[int]) -> List[int]:
-    """Masks with no proper superset in ``items``."""
-    out = []
-    for m in items:
-        if not any(m != o and m & o == m for o in items):
-            out.append(m)
-    return out
+def _attacked(tm: List[int], mask: int) -> int:
+    attacked = 0
+    for i in bits(mask):
+        attacked |= tm[i]
+    return attacked
 
 
-def _range_maximal(candidates: List[int], ranges: List[int]) -> List[int]:
+def _conflict_free(am: List[int], tm: List[int], mask: int) -> bool:
+    for i in bits(mask):
+        if tm[i] & mask:
+            return False
+    return True
+
+
+def _admissible(am: List[int], tm: List[int], mask: int) -> bool:
+    if not _conflict_free(am, tm, mask):
+        return False
+    attacked = _attacked(tm, mask)
+    for i in bits(mask):
+        if am[i] & ~attacked:
+            return False
+    return True
+
+
+def _complete(am: List[int], tm: List[int], mask: int) -> bool:
+    if not _admissible(am, tm, mask):
+        return False
+    attacked = _attacked(tm, mask)
+    for i in range(len(am)):
+        if not (mask >> i) & 1 and am[i] & ~attacked == 0:
+            return False
+    return True
+
+
+def _scan(am: List[int], tm: List[int], predicate) -> List[int]:
+    return [m for m in range(1 << len(am)) if predicate(am, tm, m)]
+
+
+def _range_maximal(candidates: List[int], keys: List[int]) -> List[int]:
+    """The candidates whose key has no proper superset among ``keys``."""
     out = []
     for i, m in enumerate(candidates):
-        r = ranges[i]
-        if not any(r != o and r & o == r for o in ranges):
+        r = keys[i]
+        if not any(r != o and r & o == r for o in keys):
             out.append(m)
     return out
 
 
-def _maximal_conflict_free_masks(af: ArgumentationFramework) -> List[int]:
-    n = len(af)
-    tm = af.target_masks()
-    am = af.attacker_masks()
+def _maximal_conflict_free(am: List[int], tm: List[int]) -> List[int]:
+    n = len(am)
     out = []
     for m in range(1 << n):
-        if not conflict_free_mask(af, m):
+        if not _conflict_free(am, tm, m):
             continue
         # Maximal iff no outside argument can be added conflict-free.
         maximal = True
@@ -70,57 +111,52 @@ def _maximal_conflict_free_masks(af: ArgumentationFramework) -> List[int]:
 def oracle_enumerate(sem: Semantics, af: ArgumentationFramework,
                      size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
     """Exact extension set of ``af`` under ``sem``, in canonical order."""
-    n = len(af)
-    if n > size_cap:
-        raise OracleSizeError(
-            f"{n} arguments exceed the oracle size cap of {size_cap}")
+    am, tm = _masks(af, size_cap)
     sem = Semantics(sem)
-    full = (1 << n) - 1
+    full = (1 << len(af)) - 1
 
-    if sem == Semantics.CO:
-        masks = _complete_masks(af)
-    elif sem == Semantics.PR:
-        masks = _maximal(_complete_masks(af))
-    elif sem == Semantics.ST:
-        masks = [m for m in _complete_masks(af)
-                 if m | attacked_mask(af, m) == full]
-    elif sem == Semantics.GR:
-        completes = _complete_masks(af)
-        masks = [m for m in completes
-                 if not any(m != o and m & o == o for o in completes)]
-        if len(masks) != 1:
-            raise AssertionError("grounded extension must be unique")
-    elif sem == Semantics.SST:
-        completes = _complete_masks(af)
-        ranges = [m | attacked_mask(af, m) for m in completes]
-        masks = _range_maximal(completes, ranges)
-    elif sem == Semantics.STG:
+    if sem == Semantics.STG:
         # Any conflict-free set extends to a maximal one whose range contains
         # its own, so range-maximality over maximal conflict-free sets decides
         # range-maximality over all conflict-free sets; and a range-maximal
         # set is itself maximal (growing a conflict-free set strictly grows
         # its range).  The scan below still visits every subset.
-        candidates = _maximal_conflict_free_masks(af)
-        ranges = [m | attacked_mask(af, m) for m in candidates]
+        candidates = _maximal_conflict_free(am, tm)
+        ranges = [m | _attacked(tm, m) for m in candidates]
         masks = _range_maximal(candidates, ranges)
+        return canonical_extensions(af.names_of(bits(m)) for m in masks)
+    completes = _scan(am, tm, _complete)
+    if sem == Semantics.CO:
+        masks = completes
+    elif sem == Semantics.PR:
+        masks = _range_maximal(completes, completes)
+    elif sem == Semantics.ST:
+        masks = [m for m in completes if m | _attacked(tm, m) == full]
+    elif sem == Semantics.GR:
+        masks = [m for m in completes
+                 if not any(m != o and m & o == o for o in completes)]
+        if len(masks) != 1:
+            raise AssertionError("grounded extension must be unique")
+    elif sem == Semantics.SST:
+        ranges = [m | _attacked(tm, m) for m in completes]
+        masks = _range_maximal(completes, ranges)
     elif sem == Semantics.ID:
-        preferred = _maximal(_complete_masks(af))
         base = full
-        for m in preferred:
+        for m in _range_maximal(completes, completes):
             base &= m
         # Admissible subsets of the preferred intersection are conflict-free
         # and closed under union, so their union is the unique maximal one.
         union = 0
-        for m in range(1 << n):
-            if m & ~base == 0 and admissible_mask(af, m):
+        for m in range(1 << len(af)):
+            if m & ~base == 0 and _admissible(am, tm, m):
                 union |= m
-        if not admissible_mask(af, union):
+        if not _admissible(am, tm, union):
             raise AssertionError("ideal candidate must be admissible")
         masks = [union]
     else:  # pragma: no cover
         raise ValueError(f"unhandled semantics {sem}")
 
-    return canonical_extensions(af.set_of(m) for m in masks)
+    return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
 def solve(task: TaskSpec, af: ArgumentationFramework,
@@ -155,22 +191,16 @@ def solve(task: TaskSpec, af: ArgumentationFramework,
 def conflict_free_sets(af: ArgumentationFramework,
                        size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
     """All conflict-free sets, in canonical order (exhaustive scan)."""
-    if len(af) > size_cap:
-        raise OracleSizeError(
-            f"{len(af)} arguments exceed the oracle size cap of {size_cap}")
-    masks = _scan_masks(af, conflict_free_mask)
-    return canonical_extensions(af.set_of(m) for m in masks)
+    masks = _scan(*_masks(af, size_cap), _conflict_free)
+    return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
 def admissible_sets(af: ArgumentationFramework,
                     size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
     """All admissible sets, in canonical order (exhaustive scan)."""
-    if len(af) > size_cap:
-        raise OracleSizeError(
-            f"{len(af)} arguments exceed the oracle size cap of {size_cap}")
-    masks = _scan_masks(af, admissible_mask)
-    return canonical_extensions(af.set_of(m) for m in masks)
+    masks = _scan(*_masks(af, size_cap), _admissible)
+    return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
 __all__ = ["DEFAULT_SIZE_CAP", "oracle_enumerate", "solve",
-           "conflict_free_sets", "admissible_sets", "grounded_extension"]
+           "conflict_free_sets", "admissible_sets"]

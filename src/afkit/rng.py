@@ -72,5 +72,6 @@ class SeededRng:
         return pool[:k]
 
     def coin(self, p: float) -> bool:
-        """True with probability ``p``."""
-        return self.random() < p
+        """True with probability ``p``: the draw of ``random()`` below
+        ``p``, with both sides scaled by 2^53, which is exact."""
+        return self._mt.getrandbits(53) < p * (1 << 53)

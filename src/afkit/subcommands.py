@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -33,29 +32,6 @@ from .harness.scoring import SolverCounts
 from .rng import SeededRng
 from .solutions import parse_solution
 from .tasks import all_task_names, parse_task
-
-
-# Environment overrides for harness defaults; explicit flags still win.
-ENV_TIMEOUT = "AFKIT_TIMEOUT"
-ENV_MEMORY = "AFKIT_MEMORY_BYTES"
-ENV_JOBS = "AFKIT_JOBS"
-
-
-def _env_number(name, cast):
-    raw = os.environ.get(name)
-    if raw is None:
-        return None
-    try:
-        return cast(raw)
-    except ValueError:
-        print(f"afkit: ignoring bad {name}={raw!r}", file=sys.stderr)
-        return None
-
-
-def _resolve_jobs(flag_value):
-    if flag_value is not None:
-        return flag_value
-    return _env_number(ENV_JOBS, int) or 1
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +122,7 @@ def _cmd_classify(argv) -> int:
     p.add_argument("--base-timeout", type=float, default=600.0,
                    help="competition timeout; classification runs at twice this")
     p.add_argument("--memory", type=int, default=ResourceLimits().memory_bytes)
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", required=True)
     opts = p.parse_args(argv)
 
@@ -164,7 +140,7 @@ def _cmd_classify(argv) -> int:
                     instance_path=str(q), fmt=q.suffix.lstrip("."),
                     limits=limits)
             for q in paths for s in solvers]
-    records = run_jobs(jobs, parallelism=_resolve_jobs(opts.jobs))
+    records = run_jobs(jobs, parallelism=opts.jobs)
     by_instance: dict = {}
     for r in records:
         by_instance.setdefault(r.instance, []).append(r)
@@ -293,7 +269,7 @@ def _cmd_run(argv) -> int:
     p.add_argument("--tasks", nargs="*", default=None,
                    help="task names (default: every task a solver advertises)")
     p.add_argument("--out", required=True, help="JSONL job log")
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--timeout", type=float, default=None,
                    help="wall seconds override (default: per-task limits)")
     p.add_argument("--memory", type=int, default=None)
@@ -341,7 +317,7 @@ def _cmd_run(argv) -> int:
                     jobs.append(JobSpec(solver, task_name, instance_id, path,
                                         fmt, limits=_limits_for(opts, task_name)))
 
-    records = run_jobs(jobs, parallelism=_resolve_jobs(opts.jobs))
+    records = run_jobs(jobs, parallelism=opts.jobs)
     _judge_records(records, {i: p for i, p, _ in instances}, opts.ref_budget)
     log = Path(opts.out)
     if log.exists():
@@ -355,10 +331,8 @@ def _cmd_run(argv) -> int:
 
 def _limits_for(opts, task_name: str) -> ResourceLimits:
     limits = ResourceLimits.for_task(task_name)
-    wall = opts.timeout if opts.timeout is not None else \
-        (_env_number(ENV_TIMEOUT, float) or limits.wall_seconds)
-    memory = opts.memory if opts.memory is not None else \
-        (_env_number(ENV_MEMORY, int) or limits.memory_bytes)
+    wall = opts.timeout if opts.timeout is not None else limits.wall_seconds
+    memory = opts.memory if opts.memory is not None else limits.memory_bytes
     return ResourceLimits(wall, memory)
 
 

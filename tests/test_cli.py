@@ -438,30 +438,6 @@ class TestOutsideInputErrors:
         assert err.startswith(f"afkit: {meta}: ") and "'domain'" in err
 
 
-class TestEnvironmentOverrides:
-    def test_env_limits_and_jobs(self, capsys, tmp_path, monkeypatch):
-        out_dir = tmp_path / "inst"
-        run_cli(capsys, "generate", "--out", str(out_dir), "--seed", "1",
-                "--spec", "erdos n=4 prob_attacks=0.5")
-        roster = _roster(tmp_path)
-        log = tmp_path / "log.jsonl"
-        monkeypatch.setenv("AFKIT_TIMEOUT", "45")
-        monkeypatch.setenv("AFKIT_JOBS", "2")
-        monkeypatch.setenv("AFKIT_MEMORY_BYTES", str(2 * 1024 ** 3))
-        code, _, err = run_cli(capsys, "run", "--roster", roster,
-                               "--instances", str(out_dir),
-                               "--tasks", "SE-GR", "--out", str(log))
-        assert code == 0, err
-        from afkit.harness.records import read_records
-        assert all(r.verdict == "correct" for r in read_records(log))
-
-    def test_bad_env_value_ignored(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("AFKIT_JOBS", "many")
-        from afkit.subcommands import _resolve_jobs
-        assert _resolve_jobs(None) == 1
-        assert _resolve_jobs(4) == 4
-
-
 class TestPresetGeneration:
     def test_grounded_preset_writes_fifty_files(self, capsys, tmp_path):
         out_dir = tmp_path / "inst"

@@ -81,11 +81,10 @@ def test_dominated_stops_at_its_first_witness(monkeypatch, sem):
                          ids=["admbuster-2000", "sembuster-6"])
 def test_preferred_tasks_build_no_per_argument_masks(monkeypatch, af):
     # Masks cost O(n^2) bits; the searches work on adjacency lists only.
-    def refuse(self):
+    def refuse(indices):
         raise AssertionError("per-argument bitmasks were built")
 
-    monkeypatch.setattr(ArgumentationFramework, "attacker_masks", refuse)
-    monkeypatch.setattr(ArgumentationFramework, "target_masks", refuse)
+    monkeypatch.setattr(engine, "_mask", refuse)
     query = af.args[len(af) // 2]
     for name in ("EE-PR", "DC-PR", "DS-PR", "SE-ID", "EE-CO", "D3"):
         task = parse_task(name, query if name[:2] in ("DC", "DS") else None)

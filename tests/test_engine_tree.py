@@ -26,7 +26,7 @@ from dataclasses import replace
 import pytest
 
 from afkit.core import ArgumentationFramework
-from afkit.engine import _Budget, _maximal_conflict_free_masks, solve_optimized
+from afkit.engine import _Budget, _maximal_conflict_free_sets, solve_optimized
 from afkit.errors import BudgetExceededError
 from afkit.generators import (gen_admbuster, gen_sembuster, generate,
                               preset_configs)
@@ -271,7 +271,7 @@ def _search_alone(task, af, budget):
         next(found, None)
         return
     elif sem == Semantics.STG:
-        drawn = [_maximal_conflict_free_masks(af, b)]
+        drawn = [_maximal_conflict_free_sets(af, b)]
     else:
         drawn = [labellings(af, b, allow_undec=sem != Semantics.ST)]
     for search in drawn:

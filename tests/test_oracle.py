@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from afkit import core, oracle
 from afkit.core import ArgumentationFramework
 from afkit.errors import OracleSizeError
 from afkit.oracle import (admissible_sets, conflict_free_sets,
@@ -92,3 +96,23 @@ def test_stage_matches_quadratic_definition_on_small_inputs():
         naive = [c for c in cf
                  if not any(ranges[o] > ranges[c] for o in cf)]
         assert as_tuples(oracle_enumerate(Semantics.STG, af)) == as_tuples(naive)
+
+
+def test_oracle_takes_only_the_framework_and_bits_from_core():
+    # The oracle is the reference the engine is checked against, so it
+    # builds its own masks and keeps its own subset predicates: a fault in
+    # a helper both used would go unseen by every differential test.
+    taken = []
+    for node in ast.walk(ast.parse(Path(oracle.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module in ("core",
+                                                                "afkit.core"):
+            taken += [alias.name for alias in node.names]
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            taken += [alias.name for alias in node.names
+                      if alias.name.split(".")[-1] == "core"]
+    assert sorted(taken) == ["ArgumentationFramework", "bits"]
+    mask_functions = [node.name for node in ast.walk(
+        ast.parse(Path(core.__file__).read_text()))
+        if isinstance(node, ast.FunctionDef)
+        and node.name.endswith(("_mask", "_masks"))]
+    assert mask_functions == []

@@ -113,14 +113,14 @@ def test_stage_extensions_of_one_framework_are_enumerated_once(monkeypatch):
     # stage extensions.  The first check draws every maximal conflict-free
     # set and keeps the widest ranges; later checks on the same framework
     # look the set's range up in them.
-    real = engine._maximal_conflict_free_masks
+    real = engine._maximal_conflict_free_sets
     calls = []
 
     def counted(af, budget):
         calls.append(af)
         return real(af, budget)
 
-    monkeypatch.setattr(engine, "_maximal_conflict_free_masks", counted)
+    monkeypatch.setattr(engine, "_maximal_conflict_free_sets", counted)
     af = _hand_built()["pairs_triangle"]
     stage = set(oracle_enumerate(Semantics.STG, af))
     assert not oracle_enumerate(Semantics.ST, af) and len(stage) == 24
