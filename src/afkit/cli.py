@@ -14,7 +14,8 @@ hardness protocol), ``select`` (quota selection plus query arguments),
 cactus series), and ``oracle`` (solver mode forced onto the exhaustive
 backend).
 
-Solver mode loads only the solving modules.  The other subcommands live in
+Solver mode loads only the solving modules, and those import neither
+``typing``, ``dataclasses`` nor ``pathlib``.  The other subcommands live in
 ``afkit.subcommands``, which loads the generators and the harness, and is
 imported only when one of them is named; the exhaustive oracle is imported
 only by ``afkit oracle``.
@@ -23,6 +24,7 @@ only by ``afkit oracle``.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import engine
@@ -85,7 +87,18 @@ def _solver_mode(argv, backend: str) -> int:
         parser.print_usage(sys.stderr)
         return 2
     task = parse_task(opts.task, opts.query)
-    af = load_framework(opts.file, opts.format)
+    # The framework lives until the process exits.  Loaded with the cyclic
+    # collector off and then frozen, its objects are never walked by a
+    # collection: not by the one that would follow the parse, nor by any
+    # during the search.
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        af = load_framework(opts.file, opts.format)
+        gc.freeze()
+    finally:
+        if was_enabled:
+            gc.enable()
     if backend == "oracle":
         from . import oracle
         answer = oracle.solve(task, af)

@@ -18,12 +18,12 @@ concurrently.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from collections.abc import Iterable, Iterator, Sequence
 
 from .errors import UnknownArgumentError
 
 ArgumentId = str
-Extension = FrozenSet[str]
+Extension = frozenset[str]
 
 
 class ArgumentationFramework:
@@ -37,25 +37,31 @@ class ArgumentationFramework:
     __slots__ = ("_args", "_attacks", "_index", "_attackers", "_targets")
 
     def __init__(self, args: Iterable[ArgumentId],
-                 attacks: Iterable[Tuple[ArgumentId, ArgumentId]] = ()):
-        self._args: Tuple[str, ...] = tuple(dict.fromkeys(args))
+                 attacks: Iterable[tuple[ArgumentId, ArgumentId]] = ()):
+        self._args: tuple[str, ...] = tuple(dict.fromkeys(args))
         index = self._index = {a: i for i, a in enumerate(self._args)}
         n = len(self._args)
-        attack_set = frozenset(attacks)
-        # Sort the attacks once, as index pairs packed into ints
-        # (source * n + target); filling both adjacency lists in that order
-        # leaves each of them sorted.  The lists take their ints from
+        if not isinstance(attacks, (list, tuple, set, frozenset)):
+            attacks = list(attacks)   # a generator is read once
+        # Pack each attack into one int, source * n + target, looking the
+        # endpoints up in the order the caller gave them: for a parsed file
+        # that is line order, whose strings lie together in memory, and it
+        # makes the first undeclared endpoint the one reported.  The codes,
+        # made distinct and sorted, fill both adjacency lists in order,
+        # which leaves each of them sorted.  The lists take their ints from
         # ``ids``, the index's own objects, rather than fresh ones from
         # divmod, so the adjacency tuples add no int objects.
         try:
-            codes = [index[src] * n + index[dst] for src, dst in attack_set]
+            codes = [index[src] * n + index[dst] for src, dst in attacks]
         except KeyError:
-            src, dst = next((s, d) for s, d in attack_set
+            src, dst = next((s, d) for s, d in attacks
                             if s not in index or d not in index)
             raise UnknownArgumentError(
                 f"attack ({src},{dst}) mentions an undeclared argument") from None
+        self._attacks: frozenset[tuple[str, str]] = frozenset(attacks)
+        if len(codes) > len(self._attacks):   # repeated attacks
+            codes = list(set(codes))
         codes.sort()
-        self._attacks: FrozenSet[Tuple[str, str]] = attack_set
         ids = list(index.values())
         attackers: list[list[int]] = [[] for _ in range(n)]
         targets: list[list[int]] = [[] for _ in range(n)]
@@ -68,11 +74,11 @@ class ArgumentationFramework:
         self._targets = tuple(map(tuple, targets))
 
     @property
-    def args(self) -> Tuple[str, ...]:
+    def args(self) -> tuple[str, ...]:
         return self._args
 
     @property
-    def attacks(self) -> FrozenSet[Tuple[str, str]]:
+    def attacks(self) -> frozenset[tuple[str, str]]:
         return self._attacks
 
     def __len__(self) -> int:
@@ -99,20 +105,20 @@ class ArgumentationFramework:
         except KeyError:
             raise UnknownArgumentError(f"unknown argument {arg!r}") from None
 
-    def attackers_of(self, arg: str) -> Tuple[str, ...]:
+    def attackers_of(self, arg: str) -> tuple[str, ...]:
         return tuple(self._args[i] for i in self._attackers[self.index_of(arg)])
 
-    def targets_of(self, arg: str) -> Tuple[str, ...]:
+    def targets_of(self, arg: str) -> tuple[str, ...]:
         return tuple(self._args[i] for i in self._targets[self.index_of(arg)])
 
     # Index-level views used by the search engine and the oracle.
-    def attacker_indices(self) -> Tuple[Tuple[int, ...], ...]:
+    def attacker_indices(self) -> tuple[tuple[int, ...], ...]:
         return self._attackers
 
-    def target_indices(self) -> Tuple[Tuple[int, ...], ...]:
+    def target_indices(self) -> tuple[tuple[int, ...], ...]:
         return self._targets
 
-    def member_indices(self, members: Iterable[str]) -> Set[int]:
+    def member_indices(self, members: Iterable[str]) -> set[int]:
         return {self.index_of(a) for a in members}
 
     def names_of(self, indices: Iterable[int]) -> Extension:
@@ -130,16 +136,16 @@ def bits(mask: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # Set-level predicates (adjacency-list based; fine at any framework size)
 
-def _attacked_indices(af: ArgumentationFramework, idx: Set[int]) -> Set[int]:
+def _attacked_indices(af: ArgumentationFramework, idx: set[int]) -> set[int]:
     targets = af.target_indices()
-    attacked: Set[int] = set()
+    attacked: set[int] = set()
     for i in idx:
         attacked.update(targets[i])
     return attacked
 
 
-def _defended(af: ArgumentationFramework, attacked: Set[int],
-              candidates: Iterable[int]) -> Set[int]:
+def _defended(af: ArgumentationFramework, attacked: set[int],
+              candidates: Iterable[int]) -> set[int]:
     """The candidates all of whose attackers are in ``attacked``."""
     attackers = af.attacker_indices()
     return {i for i in candidates if all(z in attacked for z in attackers[i])}
@@ -194,7 +200,7 @@ def grounded_extension(af: ArgumentationFramework) -> Extension:
 
 
 def grounded_indices(attackers: Sequence[Sequence[int]],
-                     targets: Sequence[Sequence[int]]) -> List[int]:
+                     targets: Sequence[Sequence[int]]) -> list[int]:
     """The grounded extension of the framework on ``0..len(targets)-1``
     whose argument i has the attackers ``attackers[i]`` and the targets
     ``targets[i]``, as indices.
@@ -226,7 +232,7 @@ def grounded_indices(attackers: Sequence[Sequence[int]],
 
 
 def strongly_connected_components(succ: Sequence[Sequence[int]]
-                                  ) -> List[List[int]]:
+                                  ) -> list[list[int]]:
     """Strongly connected components of the digraph on ``0..len(succ)-1``
     whose node ``i`` has an edge to each index in ``succ[i]``.
 
@@ -240,8 +246,8 @@ def strongly_connected_components(succ: Sequence[Sequence[int]]
     index = [-1] * n    # discovery number; -1 while unvisited
     low = [0] * n
     on_stack = [False] * n
-    stack: List[int] = []
-    components: List[List[int]] = []
+    stack: list[int] = []
+    components: list[list[int]] = []
     counter = 0
     for root in range(n):
         if index[root] >= 0:

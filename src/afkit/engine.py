@@ -60,8 +60,7 @@ from __future__ import annotations
 from bisect import insort
 from itertools import chain, filterfalse
 from operator import itemgetter
-from typing import (FrozenSet, Iterable, Iterator, List, Optional, Sequence,
-                    Set, Tuple)
+from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (ArgumentationFramework, bits, grounded_extension,
                    grounded_indices, has_full_range, range_of,
@@ -70,7 +69,7 @@ from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
 
-Extension = FrozenSet[str]
+Extension = frozenset[str]
 
 
 class _Budget:
@@ -78,7 +77,7 @@ class _Budget:
 
     __slots__ = ("remaining",)
 
-    def __init__(self, limit: Optional[int]):
+    def __init__(self, limit: int | None):
         self.remaining = limit
 
     def tick(self) -> None:
@@ -114,15 +113,15 @@ class _AdmissibleSearch:
         self.att_in = [0] * n     # members attacking each argument
         self.blocked = [int(i in ts) for i, ts in enumerate(self.targets)]
         self.member = bytearray(n)
-        self.open: Set[int] = set()
-        self.uncovered: Optional[Set[int]] = None
-        self.trail: List[int] = []
+        self.open: set[int] = set()
+        self.uncovered: set[int] | None = None
+        self.trail: list[int] = []
         self.budget = budget
         # The sets a result must not lie inside.  Bit k of ``missing[i]`` is
         # set when argument i is outside the k-th of them, and ``escaped``
         # holds, per member on the trail, the OR over the members so far:
         # S lies inside the k-th set iff bit k of ``escaped[-1]`` is clear.
-        self.avoided: List[Set[int]] = []
+        self.avoided: list[set[int]] = []
         self.missing = [0] * n
         self.escaped = [0]
         for i in grounded_indices(attackers, targets):
@@ -182,7 +181,7 @@ class _AdmissibleSearch:
             blocked[i] -= 1
             self.escaped.pop()
 
-    def members(self) -> List[int]:
+    def members(self) -> list[int]:
         return [i for i in self.trail if i >= 0]
 
     def seed(self, indices: Iterable[int]) -> bool:
@@ -207,7 +206,7 @@ class _AdmissibleSearch:
             if i not in inside:
                 missing[i] |= bit
 
-    def _choices(self, pool: Set[int]) -> Optional[List[int]]:
+    def _choices(self, pool: set[int]) -> list[int] | None:
         """The arguments to branch on: for the argument b of ``pool`` (the
         open or the uncovered ones) with the fewest candidates, the lowest
         index on a tie, the unblocked ones among b and its attackers; else
@@ -215,7 +214,7 @@ class _AdmissibleSearch:
         None when ``pool`` is empty and S is inside no avoided set; an
         empty list when S cannot be completed."""
         blocked, attackers = self.blocked, self.attackers
-        best: Optional[List[int]] = None
+        best: list[int] | None = None
         best_b = -1
         for b in pool:
             cands = [c for c in attackers[b] if not blocked[c]]
@@ -235,7 +234,7 @@ class _AdmissibleSearch:
         inside = self.avoided[k]
         return [x for x in range(self.n) if not blocked[x] and x not in inside]
 
-    def _walk(self, pool: Set[int], closing: bool = False) -> Iterator[None]:
+    def _walk(self, pool: set[int], closing: bool = False) -> Iterator[None]:
         """Walk S's supersets depth first, suspended at each one accepted.
 
         Every admissible T holding S attacks each open argument b, so it
@@ -255,7 +254,7 @@ class _AdmissibleSearch:
         trail, tick, blocked = self.trail, self.budget.tick, self.blocked
         mark = len(trail)
         # Iterative DFS: frame = [choices, next choice, trail mark].
-        frames: List[list] = []
+        frames: list[list] = []
         choices = self._choices(pool)
         while True:
             if choices is None and (not closing or self._close()):
@@ -295,14 +294,14 @@ class _AdmissibleSearch:
             return True
         return False
 
-    def stable(self) -> Iterator[List[int]]:
+    def stable(self) -> Iterator[list[int]]:
         """Yield each stable extension holding S once, as a member list."""
         att_in, member = self.att_in, self.member
         self.uncovered = {i for i in range(self.n)
                           if not member[i] and not att_in[i]}
         return (self.members() for _ in self._walk(self.uncovered))
 
-    def complete(self) -> Iterator[List[int]]:
+    def complete(self) -> Iterator[list[int]]:
         """Yield each complete extension holding S once, as a member list."""
         return (self.members() for _ in self._walk(self.open, closing=True))
 
@@ -353,7 +352,7 @@ class _AdmissibleSearch:
                 self.undo_to(mark)
                 self.exclude(a)
 
-    def preferred(self) -> Iterator[List[int]]:
+    def preferred(self) -> Iterator[list[int]]:
         """Yield the preferred extensions holding S, as member lists: at
         each S accepted, grow S to a preferred extension, undo back to S,
         avoid the extension and go on from S.  Avoided sets only grow, so
@@ -373,7 +372,7 @@ def _search(af: ArgumentationFramework, budget: _Budget) -> _AdmissibleSearch:
 
 
 def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
-                   ) -> List[Tuple[Tuple[int, ...], ...]]:
+                   ) -> list[tuple[tuple[int, ...], ...]]:
     """The extensions that ``walk``, ``_AdmissibleSearch.preferred`` or
     ``.stable``, yields, found SCC by SCC: each is the grounded extension's
     indices and then its members in each component.
@@ -396,7 +395,7 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
              for comp in reversed(strongly_connected_components(succ))]
     at = {i: c for c, comp in enumerate(comps) for i in comp}
     keys = [itemgetter(*comp) for comp in comps]
-    caches: List[dict] = [{} for _ in comps]
+    caches: list[dict] = [{} for _ in comps]
     count, status = [0] * (2 * n), bytearray(b"\2") * n
 
     def options(c: int) -> list:
@@ -408,7 +407,7 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
             keep = [i for i in comps[c] if status[i]]
             local = {i: j for j, i in enumerate(keep)}
             tgts = [[local[y] for y in targets[i] if y in local] for i in keep]
-            atts: List[List[int]] = [[] for _ in keep]
+            atts: list[list[int]] = [[] for _ in keep]
             for j, ys in enumerate(tgts):
                 if status[keep[j]] == 1 and j not in ys:
                     insort(ys, j)
@@ -459,7 +458,7 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
 
 
 def _extensions(sem: Semantics, af: ArgumentationFramework,
-                budget: _Budget) -> List[Extension]:
+                budget: _Budget) -> list[Extension]:
     """The ``sem``-extensions of ``af``, unordered: the one place a
     semantics is mapped to its algorithm."""
     if sem == Semantics.GR:
@@ -501,14 +500,14 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-def _range(tm: List[int], m: int) -> int:
+def _range(tm: list[int], m: int) -> int:
     r = m
     for i in bits(m):
         r |= tm[i]
     return r
 
 
-def _maximal_masks(masks: Set[int]) -> Set[int]:
+def _maximal_masks(masks: set[int]) -> set[int]:
     """The masks with no strict superset among the distinct ``masks``.
 
     Taken largest first, a mask with a strict superset has one among the
@@ -517,7 +516,7 @@ def _maximal_masks(masks: Set[int]) -> Set[int]:
     mask are the AND of its bits' holders.
     """
     holders = [0] * max(masks, default=0).bit_length()
-    kept: List[int] = []
+    kept: list[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
         supersets = (1 << len(kept)) - 1
         for b in bits(m):
@@ -583,14 +582,14 @@ def _ideal(af: ArgumentationFramework, leaves: list) -> Extension:
 
 
 def enumerate_extensions(sem: Semantics, af: ArgumentationFramework,
-                         budget: Optional[int] = None) -> Tuple[Extension, ...]:
+                         budget: int | None = None) -> tuple[Extension, ...]:
     """All extensions of ``af`` under ``sem``, canonically ordered."""
     return canonical_extensions(_extensions(Semantics(sem), af,
                                             _Budget(budget)))
 
 
 def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
-                    budget: Optional[int] = None) -> Answer:
+                    budget: int | None = None) -> Answer:
     """Solve any catalog task with the search engine.
 
     Same answer contract as the enumeration-backed reference solver; raises

@@ -10,8 +10,8 @@ attacks for byte-stable output.
 from __future__ import annotations
 
 import gc
+import os
 import re
-from typing import Tuple
 
 from .core import ArgumentationFramework
 from .errors import FormatError, UnknownArgumentError
@@ -43,7 +43,11 @@ def parse_apx(text: str) -> ArgumentationFramework:
     The cyclic garbage collector is paused for the parse: the strings,
     tuples and lists it allocates hold no reference cycles, yet on a large
     file their allocation triggers collections that walk them all again.
-    It is switched back on afterwards only if it was on before.
+    It is switched back on afterwards only if it was on before.  The pause
+    trades many collections for one: the first allocation after the
+    collector is back on starts a collection that walks every object of
+    the parse once.  Solver mode avoids that one as well, by loading with
+    the collector off and freezing what it loaded (``cli``).
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -105,7 +109,7 @@ def parse_tgf(text: str) -> ArgumentationFramework:
     """Parse TGF text: node lines, one ``#`` separator, then edge lines."""
     args: list[str] = []
     seen = set()
-    attacks: list[Tuple[str, str]] = []
+    attacks: list[tuple[str, str]] = []
     in_edges = False
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -160,8 +164,8 @@ def write_framework(af: ArgumentationFramework, fmt: str) -> str:
 
 def load_framework(path, fmt: str | None = None) -> ArgumentationFramework:
     """Read an instance file; the format defaults to the file extension."""
-    from pathlib import Path
-    p = Path(path)
     if fmt is None:
-        fmt = p.suffix.lstrip(".").lower()
-    return parse_framework(p.read_text(encoding="utf-8"), fmt)
+        fmt = os.path.splitext(path)[1].lstrip(".").lower()
+    with open(path, encoding="utf-8") as f:
+        text = f.read()
+    return parse_framework(text, fmt)

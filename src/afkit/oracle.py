@@ -12,7 +12,7 @@ so a mistaken call cannot scan 2^1000 subsets.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from collections.abc import Iterable
 
 from .core import ArgumentationFramework, bits
 from .errors import OracleSizeError
@@ -30,7 +30,7 @@ def _mask(indices: Iterable[int]) -> int:
 
 
 def _masks(af: ArgumentationFramework, size_cap: int
-           ) -> Tuple[List[int], List[int]]:
+           ) -> tuple[list[int], list[int]]:
     """Per argument, the mask of its attackers and the mask of its targets;
     raises OracleSizeError when ``af`` has more than ``size_cap``
     arguments."""
@@ -41,21 +41,21 @@ def _masks(af: ArgumentationFramework, size_cap: int
             [_mask(v) for v in af.target_indices()])
 
 
-def _attacked(tm: List[int], mask: int) -> int:
+def _attacked(tm: list[int], mask: int) -> int:
     attacked = 0
     for i in bits(mask):
         attacked |= tm[i]
     return attacked
 
 
-def _conflict_free(am: List[int], tm: List[int], mask: int) -> bool:
+def _conflict_free(am: list[int], tm: list[int], mask: int) -> bool:
     for i in bits(mask):
         if tm[i] & mask:
             return False
     return True
 
 
-def _admissible(am: List[int], tm: List[int], mask: int) -> bool:
+def _admissible(am: list[int], tm: list[int], mask: int) -> bool:
     if not _conflict_free(am, tm, mask):
         return False
     attacked = _attacked(tm, mask)
@@ -65,7 +65,7 @@ def _admissible(am: List[int], tm: List[int], mask: int) -> bool:
     return True
 
 
-def _complete(am: List[int], tm: List[int], mask: int) -> bool:
+def _complete(am: list[int], tm: list[int], mask: int) -> bool:
     if not _admissible(am, tm, mask):
         return False
     attacked = _attacked(tm, mask)
@@ -75,11 +75,11 @@ def _complete(am: List[int], tm: List[int], mask: int) -> bool:
     return True
 
 
-def _scan(am: List[int], tm: List[int], predicate) -> List[int]:
+def _scan(am: list[int], tm: list[int], predicate) -> list[int]:
     return [m for m in range(1 << len(am)) if predicate(am, tm, m)]
 
 
-def _range_maximal(candidates: List[int], keys: List[int]) -> List[int]:
+def _range_maximal(candidates: list[int], keys: list[int]) -> list[int]:
     """The candidates whose key has no proper superset among ``keys``."""
     out = []
     for i, m in enumerate(candidates):
@@ -89,7 +89,7 @@ def _range_maximal(candidates: List[int], keys: List[int]) -> List[int]:
     return out
 
 
-def _maximal_conflict_free(am: List[int], tm: List[int]) -> List[int]:
+def _maximal_conflict_free(am: list[int], tm: list[int]) -> list[int]:
     n = len(am)
     out = []
     for m in range(1 << n):
@@ -109,7 +109,7 @@ def _maximal_conflict_free(am: List[int], tm: List[int]) -> List[int]:
 
 
 def oracle_enumerate(sem: Semantics, af: ArgumentationFramework,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
+                     size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
     """Exact extension set of ``af`` under ``sem``, in canonical order."""
     am, tm = _masks(af, size_cap)
     sem = Semantics(sem)
@@ -189,14 +189,14 @@ def solve(task: TaskSpec, af: ArgumentationFramework,
 
 
 def conflict_free_sets(af: ArgumentationFramework,
-                       size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
+                       size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
     """All conflict-free sets, in canonical order (exhaustive scan)."""
     masks = _scan(*_masks(af, size_cap), _conflict_free)
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
 def admissible_sets(af: ArgumentationFramework,
-                    size_cap: int = DEFAULT_SIZE_CAP) -> Tuple:
+                    size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
     """All admissible sets, in canonical order (exhaustive scan)."""
     masks = _scan(*_masks(af, size_cap), _admissible)
     return canonical_extensions(af.names_of(bits(m)) for m in masks)

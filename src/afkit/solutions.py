@@ -14,13 +14,11 @@ the judge maps to the zero-point outcome.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
 
 from .errors import FormatError
-from .tasks import (AllExtensions, Answer, OneExtension, TaskSpec, Triathlon,
-                    YesNo, answer_matches_task, canonical_extensions,
-                    sorted_members)
+from .tasks import (AllExtensions, Answer, FrozenValue, OneExtension, TaskSpec,
+                    Triathlon, YesNo, answer_matches_task,
+                    canonical_extensions, sorted_members)
 
 _TOKEN_RE = re.compile(r"\[|\]|,|[A-Za-z0-9_]+")
 
@@ -51,11 +49,13 @@ def write_solution(task: TaskSpec, answer: Answer) -> str:
                      for e in (answer.grounded, answer.stable, answer.preferred))
 
 
-@dataclass(frozen=True)
-class SolutionText:
+class SolutionText(FrozenValue):
     """Raw solver output plus its parse: ``answer`` is None when unparsable."""
-    raw: str
-    answer: Optional[Answer]
+
+    __slots__ = ("raw", "answer")
+
+    def __init__(self, raw: str, answer: Answer | None):
+        super().__init__(raw, answer)
 
     @property
     def parsed(self) -> bool:
@@ -70,7 +70,7 @@ class _Tokens:
             raise ValueError("stray characters")
         self.pos = 0
 
-    def peek(self) -> Optional[str]:
+    def peek(self) -> str | None:
         return self.items[self.pos] if self.pos < len(self.items) else None
 
     def take(self) -> str:
@@ -88,9 +88,9 @@ class _Tokens:
         return self.pos >= len(self.items)
 
 
-def _parse_id_list(toks: _Tokens) -> Tuple[str, ...]:
+def _parse_id_list(toks: _Tokens) -> tuple[str, ...]:
     toks.expect("[")
-    members: List[str] = []
+    members: list[str] = []
     if toks.peek() == "]":
         toks.take()
         return tuple(members)
@@ -106,9 +106,9 @@ def _parse_id_list(toks: _Tokens) -> Tuple[str, ...]:
             raise ValueError("expected ',' or ']'")
 
 
-def _parse_enumeration(toks: _Tokens) -> Tuple[Tuple[str, ...], ...]:
+def _parse_enumeration(toks: _Tokens) -> tuple[tuple[str, ...], ...]:
     toks.expect("[")
-    sets: List[Tuple[str, ...]] = []
+    sets: list[tuple[str, ...]] = []
     if toks.peek() == "]":
         toks.take()
         return tuple(sets)

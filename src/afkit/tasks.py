@@ -7,13 +7,57 @@ admit DC and SE, which yields 24 semantics tasks; D3 makes 25.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import FrozenSet, Optional, Tuple
 
 from .errors import MalformedTaskError
 
-Extension = FrozenSet[str]
+Extension = frozenset[str]
+
+
+class FrozenValue:
+    """Base of the immutable value types: the task spec, the four answer
+    shapes and ``solutions.SolutionText``.
+
+    A subclass names its fields in ``__slots__`` and passes their values,
+    in that order, to this ``__init__``, which sets each once.  Two values
+    are equal when they have the same type and equal fields, hash by their
+    fields and print as ``Type(field=value, ...)``.  Fields cannot be
+    assigned or deleted; copies and pickles rebuild a value through its
+    constructor.  These types are plain classes rather than frozen
+    dataclasses because every solver-mode call imports them, and
+    ``dataclasses`` loads ``inspect``, ``ast`` and ``dis``.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self.__class__, self._values()
 
 
 class Semantics(str, Enum):
@@ -35,19 +79,18 @@ PROBLEMS = ("DC", "DS", "SE", "EE")
 DECISION_PROBLEMS = frozenset({"DC", "DS"})
 
 
-@dataclass(frozen=True)
-class TaskSpec:
+class TaskSpec(FrozenValue):
     """One reasoning task, optionally bound to a query argument.
 
     ``semantics`` is None exactly for D3.  DC/DS require ``query``; the other
     problems forbid it.
     """
 
-    problem: str
-    semantics: Optional[Semantics] = None
-    query: Optional[str] = None
+    __slots__ = ("problem", "semantics", "query")
 
-    def __post_init__(self):
+    def __init__(self, problem: str, semantics: Semantics | None = None,
+                 query: str | None = None):
+        super().__init__(problem, semantics, query)
         if self.problem == "D3":
             if self.semantics is not None:
                 raise MalformedTaskError("D3 carries no semantics")
@@ -74,7 +117,7 @@ class TaskSpec:
         return f"{self.problem}-{self.semantics}"
 
 
-def parse_task(name: str, query: Optional[str] = None) -> TaskSpec:
+def parse_task(name: str, query: str | None = None) -> TaskSpec:
     """Parse a wire-form task name such as ``EE-PR`` or ``D3``."""
     name = name.strip()
     if name == "D3":
@@ -90,7 +133,7 @@ def parse_task(name: str, query: Optional[str] = None) -> TaskSpec:
     return TaskSpec(problem, semantics, query)
 
 
-def all_task_names() -> Tuple[str, ...]:
+def all_task_names() -> tuple[str, ...]:
     """The 24 semantics tasks in catalog order, followed by D3."""
     names = []
     for sem in Semantics:
@@ -104,44 +147,56 @@ def all_task_names() -> Tuple[str, ...]:
 # ---------------------------------------------------------------------------
 # Answers
 
-def sorted_members(ext: Extension) -> Tuple[str, ...]:
+def sorted_members(ext: Extension) -> tuple[str, ...]:
     return tuple(sorted(ext))
 
 
-def canonical_extensions(extensions) -> Tuple[Extension, ...]:
+def canonical_extensions(extensions) -> tuple[Extension, ...]:
     """Dedupe and order extensions by their sorted member lists."""
     unique = {frozenset(e) for e in extensions}
     return tuple(sorted(unique, key=sorted_members))
 
 
-@dataclass(frozen=True)
-class YesNo:
+class YesNo(FrozenValue):
     """Answer to a DC or DS task."""
-    value: bool
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: bool):
+        super().__init__(value)
 
 
-@dataclass(frozen=True)
-class OneExtension:
+class OneExtension(FrozenValue):
     """Answer to an SE task; ``extension`` is None when no extension exists."""
-    extension: Optional[Extension]
+
+    __slots__ = ("extension",)
+
+    def __init__(self, extension: Extension | None):
+        super().__init__(extension)
 
 
-@dataclass(frozen=True)
-class AllExtensions:
+class AllExtensions(FrozenValue):
     """Answer to an EE task, in canonical order."""
-    extensions: Tuple[Extension, ...]
+
+    __slots__ = ("extensions",)
+
+    def __init__(self, extensions: tuple[Extension, ...]):
+        super().__init__(extensions)
 
     @staticmethod
     def of(extensions) -> "AllExtensions":
         return AllExtensions(canonical_extensions(extensions))
 
 
-@dataclass(frozen=True)
-class Triathlon:
+class Triathlon(FrozenValue):
     """Answer to D3: grounded, stable, then preferred enumerations."""
-    grounded: Tuple[Extension, ...]
-    stable: Tuple[Extension, ...]
-    preferred: Tuple[Extension, ...]
+
+    __slots__ = ("grounded", "stable", "preferred")
+
+    def __init__(self, grounded: tuple[Extension, ...],
+                 stable: tuple[Extension, ...],
+                 preferred: tuple[Extension, ...]):
+        super().__init__(grounded, stable, preferred)
 
     @staticmethod
     def of(grounded, stable, preferred) -> "Triathlon":

@@ -12,7 +12,7 @@ with the one extension.
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterable
+from collections.abc import Iterable
 
 from . import engine
 from .core import (ArgumentationFramework, grounded_extension, has_full_range,
@@ -28,7 +28,7 @@ def verify(sem: Semantics, af: ArgumentationFramework,
     framework.
     """
     sem = Semantics(sem)
-    s: FrozenSet[str] = frozenset(members)
+    s: frozenset[str] = frozenset(members)
     af.member_indices(s)  # unknown-argument check up front
 
     if sem == Semantics.CO:

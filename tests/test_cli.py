@@ -1,3 +1,4 @@
+import gc
 import json
 import sys
 
@@ -10,6 +11,14 @@ from afkit.generators import ErdosRenyi, gen_erdos
 from afkit.rng import SeededRng
 from afkit.solutions import parse_solution
 from afkit.tasks import all_task_names, parse_task
+
+
+@pytest.fixture(autouse=True)
+def unfreeze_heap():
+    """Solver mode freezes the heap once it has loaded the framework; an
+    in-process call must not leave pytest's heap frozen."""
+    yield
+    gc.unfreeze()
 
 
 def run_cli(capsys, *argv):
@@ -91,26 +100,27 @@ class TestSolverMode:
             assert parsed.answer == oracle.solve(task, af)
 
 
-def _imported_modules(*args):
-    """Modules a fresh interpreter imports while running ``args``, beyond
-    those a bare interpreter already imports; read from ``-X importtime``."""
+def _loaded_modules(*args):
+    """Every module a fresh interpreter imports while running ``args``,
+    read from ``-X importtime``."""
     import os
     import subprocess
     from pathlib import Path
 
     import afkit
     src = str(Path(afkit.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=True)
+    return {line.rsplit("|", 1)[1].strip()
+            for line in proc.stderr.splitlines()
+            if line.startswith("import time:") and "|" in line}
 
-    def modules(argv):
-        proc = subprocess.run([sys.executable, "-X", "importtime", *argv],
-                              env=env, capture_output=True, text=True,
-                              check=True)
-        return {line.rsplit("|", 1)[1].strip()
-                for line in proc.stderr.splitlines()
-                if line.startswith("import time:") and "|" in line}
 
-    return modules(args) - modules(["-c", "pass"])
+def _imported_modules(*args):
+    """Modules a fresh interpreter imports while running ``args``, beyond
+    those a bare interpreter already imports."""
+    return _loaded_modules(*args) - _loaded_modules("-c", "pass")
 
 
 class TestImportBoundary:
@@ -124,6 +134,14 @@ class TestImportBoundary:
                                    "-fo", "apx", "-p", "SE-GR")
         assert {"afkit.cli", "afkit.formats", "afkit.engine"} <= loaded
         assert not loaded & self.HEAVY
+
+    def test_solver_call_imports_no_typing_dataclasses_or_pathlib(
+            self, example1_apx):
+        # -S keeps site-packages' own imports out of the list.
+        loaded = _loaded_modules("-S", "-m", "afkit", "-f", example1_apx,
+                                 "-fo", "apx", "-p", "EE-PR")
+        assert "afkit.engine" in loaded
+        assert not loaded & {"typing", "dataclasses", "inspect", "pathlib"}
 
     def test_problems_loads_only_the_solving_modules(self):
         loaded = _imported_modules("-m", "afkit", "--problems")

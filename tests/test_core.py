@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import afkit
 from afkit.core import (ArgumentationFramework, defends, grounded_extension,
                         is_admissible, is_complete, is_conflict_free, range_of,
                         strongly_connected_components)
@@ -27,6 +32,34 @@ class TestFramework:
     def test_rejects_undeclared_attack_endpoint(self):
         with pytest.raises(UnknownArgumentError):
             ArgumentationFramework(["a"], [("a", "b")])
+
+    def test_first_undeclared_attack_in_input_order_is_named(self):
+        # Forty bad attacks: in hash order, the first one named would vary
+        # with the hash seed.
+        code = ("from afkit.core import ArgumentationFramework\n"
+                "attacks = [('a', 'b')] + [(f'x{i}', 'a') for i in range(40)]\n"
+                "try:\n"
+                "    ArgumentationFramework(['a', 'b'], attacks)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        src = os.path.dirname(os.path.dirname(afkit.__file__))
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True,
+                check=True, env=dict(os.environ, PYTHONPATH=src,
+                                     PYTHONHASHSEED=seed))
+            assert proc.stdout == \
+                "attack (x0,a) mentions an undeclared argument\n", seed
+
+    def test_generator_of_attacks_is_read_once(self):
+        pairs = [("a", "b"), ("b", "c"), ("a", "b"), ("c", "c")]
+        af = ArgumentationFramework("abc", (p for p in pairs))
+        assert af == ArgumentationFramework("abc", pairs)
+        assert af.attacks == frozenset(pairs)
+        assert af.targets_of("a") == ("b",)
+        assert af.attackers_of("c") == ("b", "c")
+        with pytest.raises(UnknownArgumentError, match=r"attack \(d,a\)"):
+            ArgumentationFramework("abc", (p for p in [("a", "b"), ("d", "a")]))
 
     def test_equality_respects_order(self):
         a = ArgumentationFramework(["a", "b"], [("a", "b")])
