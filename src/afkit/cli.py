@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from functools import partial
 
 from . import engine
 from .errors import AfkitError
@@ -59,8 +60,12 @@ def main(argv=None) -> int:
 # Solver mode
 
 def _solver_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="afkit", add_help=True,
-                                description="argumentation solver mode")
+    # A fixed width, the one argparse picks when stdout is no terminal,
+    # spares every call the import of shutil (with bz2, lzma, zlib and
+    # fnmatch) that the formatter otherwise makes to ask for the terminal's.
+    p = argparse.ArgumentParser(
+        prog="afkit", add_help=True, description="argumentation solver mode",
+        formatter_class=partial(argparse.HelpFormatter, width=78))
     p.add_argument("--formats", action="store_true",
                    help="print the supported instance formats")
     p.add_argument("--problems", action="store_true",

@@ -599,7 +599,7 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     b = _Budget(budget)
     if task.problem == "D3":
         preferred = _extensions(Semantics.PR, af, b)
-        return Triathlon.of([grounded_extension(af)], [
+        return Triathlon([grounded_extension(af)], [
             p for p in preferred if has_full_range(af, p)], preferred)
     sem, query = task.semantics, task.query
     q = None if query is None else af.index_of(query)
@@ -635,7 +635,7 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     if task.problem == "SE":
         return OneExtension(min(_extensions(sem, af, b), key=sorted_members,
                                 default=None))
-    return AllExtensions.of(_extensions(sem, af, b))
+    return AllExtensions(_extensions(sem, af, b))
 
 
 # The last framework whose maximal conflict-free sets ``dominated`` drew to

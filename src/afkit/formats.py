@@ -18,15 +18,16 @@ from .errors import FormatError, UnknownArgumentError
 
 FORMATS = ("apx", "tgf")
 
-_ID = r"[A-Za-z0-9_]+"
-_ID_RE = re.compile(rf"^{_ID}$")
+# An argument identifier, in instance files and in answer texts alike.
+ID_PATTERN = r"[A-Za-z0-9_]+"
+_ID_RE = re.compile(rf"^{ID_PATTERN}$")
 # One APX line: an arg or att atom, or nothing, with whitespace around and
 # inside the atom.  Matched in MULTILINE mode over lines separated by "\n";
 # ``[^\S\n]`` is whitespace that does not cross into the next line.
 _WS = r"[^\S\n]*"
 _APX_LINE_RE = re.compile(
-    rf"^{_WS}(?:(?:arg\({_WS}({_ID}){_WS}\)"
-    rf"|att\({_WS}({_ID}){_WS},{_WS}({_ID}){_WS}\))\.{_WS})?$", re.M)
+    rf"^{_WS}(?:(?:arg\({_WS}({ID_PATTERN}){_WS}\)"
+    rf"|att\({_WS}({ID_PATTERN}){_WS},{_WS}({ID_PATTERN}){_WS}\))\.{_WS})?$", re.M)
 # The line boundaries str.splitlines honours besides "\n"; re.M sees none.
 _OTHER_BREAKS = "\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
 

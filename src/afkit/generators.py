@@ -234,11 +234,9 @@ def gen_scc(cfg: SccGen, rng: SeededRng) -> ArgumentationFramework:
     return ArgumentationFramework(names, attacks)
 
 
-def _grounded_chain(names: Sequence[str]) -> Tuple[Set[Tuple[str, str]], List[str]]:
+def _grounded_chain(names: Sequence[str]) -> Set[Tuple[str, str]]:
     """Acyclic attack chain whose grounded extension is every other element."""
-    attacks = {(names[i], names[i + 1]) for i in range(len(names) - 1)}
-    grounded = [names[i] for i in range(0, len(names), 2)]
-    return attacks, grounded
+    return {(names[i], names[i + 1]) for i in range(len(names) - 1)}
 
 
 def gen_stable(cfg: StableGen, rng: SeededRng) -> ArgumentationFramework:
@@ -263,15 +261,12 @@ def _stable_layout(cfg: StableGen, names: Sequence[str], r: SeededRng):
     g_target = min(r.randint(cfg.min_size_of_grounded_extension,
                              cfg.max_size_of_grounded_extension), g_cap)
     chain_len = 2 * g_target - 1 if g_target > 0 else 0
-    chain = names[:chain_len]
-    pool = list(names[chain_len:])
-    attacks, grounded = _grounded_chain(chain)
-    return attacks, grounded, pool
+    return _grounded_chain(names[:chain_len]), list(names[chain_len:])
 
 
 def _try_stable(cfg: StableGen, names: Sequence[str],
                 r: SeededRng) -> Optional[ArgumentationFramework]:
-    attacks, grounded, pool = _stable_layout(cfg, names, r)
+    attacks, pool = _stable_layout(cfg, names, r)
     if not pool:
         return ArgumentationFramework(names, attacks)
     num_ext = r.randint(cfg.min_num_extensions, cfg.max_num_extensions)
@@ -310,7 +305,7 @@ def _try_stable(cfg: StableGen, names: Sequence[str],
 
 def _stable_single(cfg: StableGen, names: Sequence[str],
                    r: SeededRng) -> ArgumentationFramework:
-    attacks, grounded, pool = _stable_layout(cfg, names, r)
+    attacks, pool = _stable_layout(cfg, names, r)
     if pool:
         size = min(max(cfg.min_size_of_extensions, 1), len(pool))
         subset = sorted(r.sample(pool, size))
@@ -345,7 +340,9 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
     """Add random attacks while the SCC count exceeds n * (1 - prob_cycles).
 
     The count only decreases as attacks are added, and a strongly connected
-    graph (one SCC) ends the loop regardless of the bound.
+    graph (one SCC) ends the loop regardless of the bound.  An attack inside
+    one component leaves the components as they are, so the count is taken
+    again only after an attack between two of them.
     """
     if n <= 1:
         return
@@ -353,10 +350,14 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
     succ: List[List[int]] = [[] for _ in range(n)]
     for u, v in attacks:
         succ[u].append(v)
+    component = [0] * n  # each argument's component at the last count
     while True:
-        count = len(strongly_connected_components(succ))
-        if count <= bound or count <= 1:
+        components = strongly_connected_components(succ)
+        if len(components) <= bound or len(components) <= 1:
             return
+        for c, members in enumerate(components):
+            for x in members:
+                component[x] = c
         while True:
             u = r.randbelow(n)
             v = r.randbelow(n - 1)
@@ -365,7 +366,8 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
             if (u, v) not in attacks:
                 attacks.add((u, v))
                 succ[u].append(v)
-                break
+                if component[u] != component[v]:
+                    break
 
 
 def gen_watts(cfg: WattsStrogatz, rng: SeededRng) -> ArgumentationFramework:

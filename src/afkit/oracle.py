@@ -169,9 +169,9 @@ def solve(task: TaskSpec, af: ArgumentationFramework,
     distinguished "no extension" value.
     """
     if task.problem == "D3":
-        return Triathlon.of(oracle_enumerate(Semantics.GR, af, size_cap),
-                            oracle_enumerate(Semantics.ST, af, size_cap),
-                            oracle_enumerate(Semantics.PR, af, size_cap))
+        return Triathlon(oracle_enumerate(Semantics.GR, af, size_cap),
+                         oracle_enumerate(Semantics.ST, af, size_cap),
+                         oracle_enumerate(Semantics.PR, af, size_cap))
     extensions = oracle_enumerate(task.semantics, af, size_cap)
     if task.problem == "EE":
         return AllExtensions(extensions)

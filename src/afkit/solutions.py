@@ -1,14 +1,29 @@
-"""Competition answer texts: writing and tolerant parsing.
+r"""Competition answer texts: writing and tolerant parsing.
 
 Decision answers are ``YES`` / ``NO``.  A single extension prints as a sorted
 bracketed id list like ``[a,b,c]`` (``NO`` when none exists, ``[]`` for the
 empty extension).  Enumerations print every extension inside one outer
-bracket pair, extensions ordered by their sorted member lists.  D3 prints the
-grounded, stable, and preferred enumerations on three lines, in that order.
+bracket pair, in the order the answer values hold: ``AllExtensions`` and
+``Triathlon`` are canonical by construction, extensions deduped and ordered
+by their sorted member lists.  D3 prints the grounded, stable, and preferred
+enumerations on three lines, in that order.
 
-Parsing is whitespace-insensitive and never raises: anything that does not
-match the task's required shape comes back as a parse failure marker, which
-the judge maps to the zero-point outcome.
+The grammar, with whitespace (``\s``) allowed between any two tokens and
+around the whole text::
+
+    id          = [A-Za-z0-9_]+        (formats.ID_PATTERN)
+    list        = "[" [ id { "," id } ] "]"
+    enumeration = "[" [ list { "," list } ] "]"
+    DC, DS      = "YES" | "NO"
+    SE          = "NO" | list
+    EE          = enumeration
+    D3          = enumeration enumeration enumeration
+
+Nesting stops at depth two, so the grammar is regular: each shape is one
+pattern, matched with ``fullmatch``, and ``findall`` then reads the lists and
+their ids.  Parsing never raises: text that does not match the task's shape
+comes back with answer ``None``, which the judge maps to the zero-point
+outcome.
 """
 
 from __future__ import annotations
@@ -16,11 +31,25 @@ from __future__ import annotations
 import re
 
 from .errors import FormatError
-from .tasks import (AllExtensions, Answer, FrozenValue, OneExtension, TaskSpec,
-                    Triathlon, YesNo, answer_matches_task,
-                    canonical_extensions, sorted_members)
+from .formats import ID_PATTERN
+from .tasks import (DECISION_PROBLEMS, AllExtensions, Answer, FrozenValue,
+                    OneExtension, TaskSpec, Triathlon, YesNo,
+                    answer_matches_task, sorted_members)
 
-_TOKEN_RE = re.compile(r"\[|\]|,|[A-Za-z0-9_]+")
+_S = r"\s*"
+_LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S})*)?\]"
+# An enumeration; its group is the text between the outer brackets.
+_ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S})*)?)\]"
+_VERDICT_RE = re.compile(rf"{_S}(YES|NO){_S}")
+_SHAPE_RE = {
+    "DC": _VERDICT_RE,
+    "DS": _VERDICT_RE,
+    "SE": re.compile(rf"{_S}(?:(NO)|{_LIST}){_S}"),
+    "EE": re.compile(rf"{_S}{_ENUM}{_S}"),
+    "D3": re.compile(rf"{_S}{_ENUM}{_S}{_ENUM}{_S}{_ENUM}{_S}"),
+}
+_ID_RE = re.compile(ID_PATTERN)
+_LIST_BODY_RE = re.compile(r"\[([^\]]*)\]")
 
 
 def _fmt_extension(ext) -> str:
@@ -28,8 +57,7 @@ def _fmt_extension(ext) -> str:
 
 
 def _fmt_enumeration(extensions) -> str:
-    parts = [_fmt_extension(e) for e in canonical_extensions(extensions)]
-    return "[" + ",".join(parts) + "]"
+    return "[" + ",".join(_fmt_extension(e) for e in extensions) + "]"
 
 
 def write_solution(task: TaskSpec, answer: Answer) -> str:
@@ -62,102 +90,26 @@ class SolutionText(FrozenValue):
         return self.answer is not None
 
 
-class _Tokens:
-    def __init__(self, text: str):
-        self.items = _TOKEN_RE.findall(text)
-        # Anything outside brackets, commas, ids, and whitespace poisons the text.
-        if re.sub(r"\s+", "", _TOKEN_RE.sub("", text)):
-            raise ValueError("stray characters")
-        self.pos = 0
-
-    def peek(self) -> str | None:
-        return self.items[self.pos] if self.pos < len(self.items) else None
-
-    def take(self) -> str:
-        tok = self.peek()
-        if tok is None:
-            raise ValueError("unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def expect(self, tok: str) -> None:
-        if self.take() != tok:
-            raise ValueError(f"expected {tok!r}")
-
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
-
-
-def _parse_id_list(toks: _Tokens) -> tuple[str, ...]:
-    toks.expect("[")
-    members: list[str] = []
-    if toks.peek() == "]":
-        toks.take()
-        return tuple(members)
-    while True:
-        tok = toks.take()
-        if tok in "[],":
-            raise ValueError("expected an argument id")
-        members.append(tok)
-        nxt = toks.take()
-        if nxt == "]":
-            return tuple(members)
-        if nxt != ",":
-            raise ValueError("expected ',' or ']'")
-
-
-def _parse_enumeration(toks: _Tokens) -> tuple[tuple[str, ...], ...]:
-    toks.expect("[")
-    sets: list[tuple[str, ...]] = []
-    if toks.peek() == "]":
-        toks.take()
-        return tuple(sets)
-    while True:
-        sets.append(_parse_id_list(toks))
-        nxt = toks.take()
-        if nxt == "]":
-            return tuple(sets)
-        if nxt != ",":
-            raise ValueError("expected ',' or ']'")
-
-
 def parse_solution(task: TaskSpec, text: str) -> SolutionText:
     """Parse solver output for ``task``; failures yield an in-band marker."""
-    try:
-        answer = _parse_solution(task, text)
-    except Exception:
-        answer = None
-    return SolutionText(raw=text, answer=answer)
+    return SolutionText(raw=text, answer=_parse_solution(task, text))
 
 
-def _parse_solution(task: TaskSpec, text: str) -> Answer:
-    stripped = text.strip()
-    if task.problem in ("DC", "DS"):
-        if stripped == "YES":
-            return YesNo(True)
-        if stripped == "NO":
-            return YesNo(False)
-        raise ValueError("expected YES or NO")
+def _extensions(lists: str) -> list[frozenset[str]]:
+    """The extensions of an enumeration, from the text inside its brackets."""
+    return [frozenset(_ID_RE.findall(members))
+            for members in _LIST_BODY_RE.findall(lists)]
+
+
+def _parse_solution(task: TaskSpec, text: str) -> Answer | None:
+    m = _SHAPE_RE[task.problem].fullmatch(text)
+    if m is None:
+        return None
+    if task.problem in DECISION_PROBLEMS:
+        return YesNo(m[1] == "YES")
     if task.problem == "SE":
-        if stripped == "NO":
-            return OneExtension(None)
-        toks = _Tokens(text)
-        members = _parse_id_list(toks)
-        if not toks.done():
-            raise ValueError("trailing tokens")
-        return OneExtension(frozenset(members))
+        return OneExtension(None if m[1] else frozenset(_ID_RE.findall(text)))
+    enumerations = map(_extensions, m.groups())
     if task.problem == "EE":
-        toks = _Tokens(text)
-        sets = _parse_enumeration(toks)
-        if not toks.done():
-            raise ValueError("trailing tokens")
-        return AllExtensions.of(frozenset(s) for s in sets)
-    # D3: three enumerations in grounded, stable, preferred order.
-    toks = _Tokens(text)
-    parts = [_parse_enumeration(toks) for _ in range(3)]
-    if not toks.done():
-        raise ValueError("trailing tokens")
-    gr, st, pr = parts
-    return Triathlon.of((frozenset(s) for s in gr),
-                        (frozenset(s) for s in st),
-                        (frozenset(s) for s in pr))
+        return AllExtensions(*enumerations)
+    return Triathlon(*enumerations)

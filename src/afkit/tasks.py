@@ -176,31 +176,24 @@ class OneExtension(FrozenValue):
 
 
 class AllExtensions(FrozenValue):
-    """Answer to an EE task, in canonical order."""
+    """Answer to an EE task, canonical by construction: the constructor
+    dedupes the extensions and orders them by their sorted member lists, so
+    the same sets in any order make equal answers that print alike."""
 
     __slots__ = ("extensions",)
 
-    def __init__(self, extensions: tuple[Extension, ...]):
-        super().__init__(extensions)
-
-    @staticmethod
-    def of(extensions) -> "AllExtensions":
-        return AllExtensions(canonical_extensions(extensions))
+    def __init__(self, extensions):
+        super().__init__(canonical_extensions(extensions))
 
 
 class Triathlon(FrozenValue):
-    """Answer to D3: grounded, stable, then preferred enumerations."""
+    """Answer to D3: grounded, stable, then preferred enumerations, each
+    canonical by construction as in ``AllExtensions``."""
 
     __slots__ = ("grounded", "stable", "preferred")
 
-    def __init__(self, grounded: tuple[Extension, ...],
-                 stable: tuple[Extension, ...],
-                 preferred: tuple[Extension, ...]):
-        super().__init__(grounded, stable, preferred)
-
-    @staticmethod
-    def of(grounded, stable, preferred) -> "Triathlon":
-        return Triathlon(canonical_extensions(grounded),
+    def __init__(self, grounded, stable, preferred):
+        super().__init__(canonical_extensions(grounded),
                          canonical_extensions(stable),
                          canonical_extensions(preferred))
 

@@ -141,7 +141,8 @@ class TestImportBoundary:
         loaded = _loaded_modules("-S", "-m", "afkit", "-f", example1_apx,
                                  "-fo", "apx", "-p", "EE-PR")
         assert "afkit.engine" in loaded
-        assert not loaded & {"typing", "dataclasses", "inspect", "pathlib"}
+        assert not loaded & {"typing", "dataclasses", "inspect", "pathlib",
+                              "shutil"}
 
     def test_problems_loads_only_the_solving_modules(self):
         loaded = _imported_modules("-m", "afkit", "--problems")

@@ -23,17 +23,17 @@ def test_example1_extension_sets(example1, sem):
 
 def test_ee_co_and_sst_examples(example1):
     assert engine.solve_optimized(parse_task("EE-CO"), example1) == \
-        AllExtensions.of(map(frozenset, EXAMPLE1_EXPECTED["CO"]))
+        AllExtensions(map(frozenset, EXAMPLE1_EXPECTED["CO"]))
     assert engine.solve_optimized(parse_task("EE-SST"), example1) == \
-        AllExtensions.of([frozenset({"b", "d", "h"})])
+        AllExtensions([frozenset({"b", "d", "h"})])
 
 
 def test_empty_framework_tasks():
     af = ArgumentationFramework([])
     assert engine.solve_optimized(parse_task("EE-PR"), af) == \
-        AllExtensions.of([frozenset()])
+        AllExtensions([frozenset()])
     assert engine.solve_optimized(parse_task("D3"), af) == \
-        Triathlon.of([frozenset()], [frozenset()], [frozenset()])
+        Triathlon([frozenset()], [frozenset()], [frozenset()])
 
 
 def test_d3_shares_answer_with_oracle(example1):
@@ -45,7 +45,7 @@ def test_d3_shares_answer_with_oracle(example1):
 def test_d3_single_argument():
     af = ArgumentationFramework(["a"])
     t = engine.solve_optimized(parse_task("D3"), af)
-    assert t == Triathlon.of([{"a"}], [{"a"}], [{"a"}])
+    assert t == Triathlon([{"a"}], [{"a"}], [{"a"}])
 
 
 def test_budget_error_surfaces_not_a_wrong_answer(example1):

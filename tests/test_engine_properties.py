@@ -170,8 +170,8 @@ def _matches_oracle(af, sems, tasks):
             continue
         got = engine.solve_optimized(parse_task(name), af)
         if name == "D3":
-            want = Triathlon.of(exts[Semantics.GR], exts[Semantics.ST],
-                                exts[Semantics.PR])
+            want = Triathlon(exts[Semantics.GR], exts[Semantics.ST],
+                             exts[Semantics.PR])
         elif name.startswith("EE"):
             want = AllExtensions(exts[sem])
         else:

@@ -292,7 +292,7 @@ def _reference(task, af):
     exts = list(labellings(af, b, allow_undec=undec))
     if task.problem == "SE":
         return OneExtension(min(exts, key=sorted_members) if exts else None)
-    return AllExtensions.of(exts)
+    return AllExtensions(exts)
 
 
 def _reference_cases():

@@ -178,7 +178,7 @@ def test_judge_never_accepts_enumeration_with_rejected_member():
             for _ in range(sub.randint(1, 3)):
                 size = sub.randint(0, len(names))
                 claimed.append(frozenset(sub.sample(names, size)))
-            answer = AllExtensions.of(claimed)
+            answer = AllExtensions(claimed)
             sol = parse_solution(task, write_solution(task, answer))
             verdict = verify_cascade(task, bundle, sol, [sol]).verdict
             if any(not verify(sem, af, c) for c in answer.extensions):

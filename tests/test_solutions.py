@@ -26,14 +26,14 @@ class TestWrite:
         assert write_solution(SE, OneExtension(frozenset())) == "[]"
 
     def test_enumeration_canonical(self):
-        ans = AllExtensions.of([frozenset({"b", "d", "h"}),
-                                frozenset({"a", "h"})])
+        ans = AllExtensions([frozenset({"b", "d", "h"}),
+                             frozenset({"a", "h"})])
         assert write_solution(EE, ans) == "[[a,h],[b,d,h]]"
-        assert write_solution(parse_task("EE-ST"), AllExtensions.of([])) == "[]"
+        assert write_solution(parse_task("EE-ST"), AllExtensions([])) == "[]"
 
     def test_d3_three_lines(self):
-        ans = Triathlon.of([frozenset()], [], [frozenset({"a", "h"}),
-                                               frozenset({"b", "d", "h"})])
+        ans = Triathlon([frozenset()], [], [frozenset({"a", "h"}),
+                                            frozenset({"b", "d", "h"})])
         assert write_solution(D3, ans) == "[[]]\n[]\n[[a,h],[b,d,h]]"
 
     def test_shape_mismatch(self):
@@ -56,10 +56,10 @@ class TestParse:
 
     def test_enumeration(self):
         got = parse_solution(EE, "[[a,h],[b,d,h]]").answer
-        assert got == AllExtensions.of([frozenset({"a", "h"}),
-                                        frozenset({"b", "d", "h"})])
-        assert parse_solution(EE, " [ [ ] ] ").answer == AllExtensions.of([frozenset()])
-        assert parse_solution(EE, "[]").answer == AllExtensions.of([])
+        assert got == AllExtensions([frozenset({"a", "h"}),
+                                     frozenset({"b", "d", "h"})])
+        assert parse_solution(EE, " [ [ ] ] ").answer == AllExtensions([frozenset()])
+        assert parse_solution(EE, "[]").answer == AllExtensions([])
 
     def test_truncated_enumeration_is_marker(self):
         assert parse_solution(EE, "[[a],[b").answer is None
@@ -114,11 +114,11 @@ def test_parse_inverts_write(data):
     elif task.problem == "SE":
         answer = OneExtension(data.draw(st.none() | extensions))
     elif task.problem == "EE":
-        answer = AllExtensions.of(data.draw(st.lists(extensions, max_size=4)))
+        answer = AllExtensions(data.draw(st.lists(extensions, max_size=4)))
     else:
-        answer = Triathlon.of(data.draw(st.lists(extensions, max_size=2)),
-                              data.draw(st.lists(extensions, max_size=2)),
-                              data.draw(st.lists(extensions, max_size=2)))
+        answer = Triathlon(data.draw(st.lists(extensions, max_size=2)),
+                           data.draw(st.lists(extensions, max_size=2)),
+                           data.draw(st.lists(extensions, max_size=2)))
     assert parse_solution(task, write_solution(task, answer)).answer == answer
 
 
@@ -146,9 +146,9 @@ def _draw_written(data, task, ids=ids, min_size=0):
     elif task.problem == "SE":
         answer = OneExtension(data.draw(exts))
     elif task.problem == "EE":
-        answer = AllExtensions.of(data.draw(enums))
+        answer = AllExtensions(data.draw(enums))
     else:
-        answer = Triathlon.of(*(data.draw(enums) for _ in range(3)))
+        answer = Triathlon(*(data.draw(enums) for _ in range(3)))
     return write_solution(task, answer)
 
 
@@ -226,3 +226,13 @@ def test_a_dropped_comma_between_extensions_is_a_marker(data):
 def test_d3_needs_exactly_three_blocks(data, blocks):
     text = "\n".join(_draw_written(data, EE) for _ in range(blocks))
     assert parse_solution(D3, text).answer is None
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_answers_from_the_same_sets_in_any_order_are_equal(data):
+    enums = [data.draw(st.lists(extensions, max_size=4)) for _ in range(3)]
+    shuffled = [data.draw(st.permutations(e)) for e in enums]
+    for build in (lambda es: AllExtensions(es[0]), lambda es: Triathlon(*es)):
+        a, b = build(enums), build(shuffled)
+        assert a == b and repr(a) == repr(b)

@@ -54,4 +54,4 @@ def test_canonical_extension_order_is_by_sorted_member_list():
     got = canonical_extensions(exts)
     assert [tuple(sorted(e)) for e in got] == [
         ("a", "e", "h"), ("b", "d", "h"), ("b", "e", "h")]
-    assert AllExtensions.of(exts).extensions == got
+    assert AllExtensions(exts).extensions == got
