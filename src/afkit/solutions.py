@@ -29,6 +29,7 @@ outcome.
 from __future__ import annotations
 
 import re
+import sys
 
 from .errors import FormatError
 from .formats import ID_PATTERN
@@ -37,9 +38,13 @@ from .tasks import (DECISION_PROBLEMS, AllExtensions, Answer, FrozenValue,
                     answer_matches_task, sorted_members)
 
 _S = r"\s*"
-_LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S})*)?\]"
+# A possessive repeat (Python 3.11 on) keeps no state to backtrack into, so
+# matching a long answer does not take memory per id; no text of this
+# grammar needs a repeat to give an iteration back.
+_MANY = "*+" if sys.version_info >= (3, 11) else "*"
+_LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S}){_MANY})?\]"
 # An enumeration; its group is the text between the outer brackets.
-_ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S})*)?)\]"
+_ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S}){_MANY})?)\]"
 _VERDICT_RE = re.compile(rf"{_S}(YES|NO){_S}")
 _SHAPE_RE = {
     "DC": _VERDICT_RE,

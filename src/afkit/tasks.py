@@ -7,6 +7,7 @@ admit DC and SE, which yields 24 semantics tasks; D3 makes 25.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from enum import Enum
 
 from .errors import MalformedTaskError
@@ -182,7 +183,7 @@ class AllExtensions(FrozenValue):
 
     __slots__ = ("extensions",)
 
-    def __init__(self, extensions):
+    def __init__(self, extensions: Iterable[Extension]):
         super().__init__(canonical_extensions(extensions))
 
 
@@ -192,7 +193,9 @@ class Triathlon(FrozenValue):
 
     __slots__ = ("grounded", "stable", "preferred")
 
-    def __init__(self, grounded, stable, preferred):
+    def __init__(self, grounded: Iterable[Extension],
+                 stable: Iterable[Extension],
+                 preferred: Iterable[Extension]):
         super().__init__(canonical_extensions(grounded),
                          canonical_extensions(stable),
                          canonical_extensions(preferred))
