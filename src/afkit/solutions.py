@@ -45,13 +45,15 @@ _MANY = "*+" if sys.version_info >= (3, 11) else "*"
 _LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S}){_MANY})?\]"
 # An enumeration; its group is the text between the outer brackets.
 _ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S}){_MANY})?)\]"
-_VERDICT_RE = re.compile(rf"{_S}(YES|NO){_S}")
-_SHAPE_RE = {
-    "DC": _VERDICT_RE,
-    "DS": _VERDICT_RE,
-    "SE": re.compile(rf"{_S}(?:(NO)|{_LIST}){_S}"),
-    "EE": re.compile(rf"{_S}{_ENUM}{_S}"),
-    "D3": re.compile(rf"{_S}{_ENUM}{_S}{_ENUM}{_S}{_ENUM}{_S}"),
+_VERDICT = rf"{_S}(YES|NO){_S}"
+# Each shape compiles on first use, through re's own cache: a solver-mode
+# call writes one answer and parses none, so it does not pay for compiling.
+_SHAPE = {
+    "DC": _VERDICT,
+    "DS": _VERDICT,
+    "SE": rf"{_S}(?:(NO)|{_LIST}){_S}",
+    "EE": rf"{_S}{_ENUM}{_S}",
+    "D3": rf"{_S}{_ENUM}{_S}{_ENUM}{_S}{_ENUM}{_S}",
 }
 _ID_RE = re.compile(ID_PATTERN)
 _LIST_BODY_RE = re.compile(r"\[([^\]]*)\]")
@@ -107,7 +109,7 @@ def _extensions(lists: str) -> list[frozenset[str]]:
 
 
 def _parse_solution(task: TaskSpec, text: str) -> Answer | None:
-    m = _SHAPE_RE[task.problem].fullmatch(text)
+    m = re.fullmatch(_SHAPE[task.problem], text)
     if m is None:
         return None
     if task.problem in DECISION_PROBLEMS:
