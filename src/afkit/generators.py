@@ -15,7 +15,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgumentationFramework, strongly_connected_components
 from .errors import FormatError, InvalidConfigError
@@ -30,8 +30,16 @@ def _check_prob(name: str, p: float) -> None:
         raise InvalidConfigError(f"{name} must be in [0,1], got {p}")
 
 
+class GeneratorConfig:
+    """Base of the nine generator configs: each checks its fields with
+    ``validate`` when it is constructed, so an invalid config never exists."""
+
+    def __post_init__(self) -> None:
+        self.validate()
+
+
 @dataclass(frozen=True)
-class GroundedGen:
+class GroundedGen(GeneratorConfig):
     n: int
     prob_attacks: float
 
@@ -42,7 +50,7 @@ class GroundedGen:
 
 
 @dataclass(frozen=True)
-class SccGen:
+class SccGen(GeneratorConfig):
     n: int
     n_sccs: int
     inner_attack_prob: float
@@ -58,7 +66,7 @@ class SccGen:
 
 
 @dataclass(frozen=True)
-class StableGen:
+class StableGen(GeneratorConfig):
     n: int
     min_num_extensions: int
     max_num_extensions: int
@@ -85,7 +93,7 @@ class StableGen:
 
 
 @dataclass(frozen=True)
-class ErdosRenyi:
+class ErdosRenyi(GeneratorConfig):
     n: int
     prob_attacks: float
 
@@ -96,7 +104,7 @@ class ErdosRenyi:
 
 
 @dataclass(frozen=True)
-class WattsStrogatz:
+class WattsStrogatz(GeneratorConfig):
     n: int
     k: int
     beta: float
@@ -112,7 +120,7 @@ class WattsStrogatz:
 
 
 @dataclass(frozen=True)
-class BarabasiAlbert:
+class BarabasiAlbert(GeneratorConfig):
     n: int
     prob_cycles: float
 
@@ -123,7 +131,7 @@ class BarabasiAlbert:
 
 
 @dataclass(frozen=True)
-class AdmBuster:
+class AdmBuster(GeneratorConfig):
     n: int
 
     def validate(self) -> None:
@@ -132,7 +140,7 @@ class AdmBuster:
 
 
 @dataclass(frozen=True)
-class SemBuster:
+class SemBuster(GeneratorConfig):
     n: int
 
     def validate(self) -> None:
@@ -141,16 +149,12 @@ class SemBuster:
 
 
 @dataclass(frozen=True)
-class Traffic:
+class Traffic(GeneratorConfig):
     p_symmetric: float
 
     def validate(self) -> None:
         _check_prob("p_symmetric", self.p_symmetric)
 
-
-GeneratorConfig = Union[GroundedGen, SccGen, StableGen, ErdosRenyi,
-                        WattsStrogatz, BarabasiAlbert, AdmBuster, SemBuster,
-                        Traffic]
 
 CONFIG_KINDS: Dict[str, type] = {
     "grounded": GroundedGen,
@@ -175,7 +179,6 @@ def _names(n: int) -> List[str]:
 def gen_grounded(cfg: GroundedGen, rng: SeededRng) -> ArgumentationFramework:
     """Linearly ordered arguments with forward attacks, isolated ones then
     connected to the built component by one random attack each."""
-    cfg.validate()
     names = _names(cfg.n)
     edges = rng.split("order-attacks")
     attacks: Set[Tuple[str, str]] = set()
@@ -208,7 +211,6 @@ def gen_grounded(cfg: GroundedGen, rng: SeededRng) -> ArgumentationFramework:
 def gen_scc(cfg: SccGen, rng: SeededRng) -> ArgumentationFramework:
     """Linearly ordered components of near-equal size; dense attacks inside
     each component, sparse attacks only from lower- to higher-ranked ones."""
-    cfg.validate()
     names = _names(cfg.n)
     base, extra = divmod(cfg.n, cfg.n_sccs)
     comps: List[List[str]] = []
@@ -247,7 +249,6 @@ def gen_stable(cfg: StableGen, rng: SeededRng) -> ArgumentationFramework:
     conflict-free are rejected and retried, and after a retry cap the
     generator degrades to a single guaranteed stable extension.
     """
-    cfg.validate()
     names = _names(cfg.n)
     for attempt in range(12):
         af = _try_stable(cfg, names, rng.split(f"attempt-{attempt}"))
@@ -321,7 +322,6 @@ def _stable_single(cfg: StableGen, names: Sequence[str],
 def gen_erdos(cfg: ErdosRenyi, rng: SeededRng) -> ArgumentationFramework:
     """One attack per unordered argument pair with probability
     ``prob_attacks``; the direction is a fair coin."""
-    cfg.validate()
     names = _names(cfg.n)
     r = rng.split("pairs")
     attacks: Set[Tuple[str, str]] = set()
@@ -373,7 +373,6 @@ def _add_cycles(n: int, attacks: Set[Tuple[int, int]], prob_cycles: float,
 def gen_watts(cfg: WattsStrogatz, rng: SeededRng) -> ArgumentationFramework:
     """Ring lattice with k nearest neighbours, beta-rewiring, random attack
     direction per edge, then cycle enrichment down to the SCC bound."""
-    cfg.validate()
     n = cfg.n
     names = _names(n)
     nbrs: List[Set[int]] = [set() for _ in range(n)]
@@ -418,7 +417,6 @@ def gen_barabasi(cfg: BarabasiAlbert, rng: SeededRng) -> ArgumentationFramework:
     """Preferential-attachment growth (attachment odds proportional to degree,
     plus one to let isolated seeds compete), random attack direction, then
     cycle enrichment down to the SCC bound."""
-    cfg.validate()
     n = cfg.n
     names = _names(n)
     grow = rng.split("grow")
@@ -455,7 +453,7 @@ def gen_admbuster(n: int) -> ArgumentationFramework:
     so the grounded extension is the only complete one, and computing it
     needs a defense chain about n/2 steps deep.
     """
-    AdmBuster(n).validate()
+    AdmBuster(n)
     chain = []
     for p in range(1, n - 1):
         block, idx = ("b", (p + 1) // 2) if p % 2 else ("a", p // 2)
@@ -476,7 +474,7 @@ def gen_sembuster(n: int) -> ArgumentationFramework:
     plus each singleton {y_k}) are also complete, their ranges grow strictly
     with k, and only {y_n} is semi-stable.
     """
-    SemBuster(n).validate()
+    SemBuster(n)
     xs = [f"x{i}" for i in range(1, n + 1)]
     ys = [f"y{i}" for i in range(1, n + 1)]
     zs = [f"z{i}" for i in range(1, n + 1)]
@@ -501,7 +499,7 @@ def traffic_to_af(nodes: Sequence[str], edges: Sequence[Tuple[str, str]],
                   p_symmetric: float, rng: SeededRng) -> ArgumentationFramework:
     """Same vertex set; each input edge becomes a mutual attack pair with
     probability ``p_symmetric``, otherwise one uniformly directed attack."""
-    Traffic(p_symmetric).validate()
+    Traffic(p_symmetric)
     known = set(nodes)
     r = rng.split("edges")
     attacks: Set[Tuple[str, str]] = set()
@@ -583,7 +581,6 @@ def parse_batch_line(line: str) -> Tuple[GeneratorConfig, int, Optional[str]]:
         cfg = cls(**kwargs)
     except TypeError as exc:
         raise InvalidConfigError(f"{kind}: {exc}") from None
-    cfg.validate()
     return cfg, count, graph
 
 
@@ -664,8 +661,6 @@ def preset_configs(domain: str, rng: SeededRng) -> List[GeneratorConfig]:
         out += [SemBuster(n) for n in SEMBUSTER_SIZES]
     else:
         raise InvalidConfigError(f"no preset for domain {domain!r}")
-    for cfg in out:
-        cfg.validate()
     return out
 
 

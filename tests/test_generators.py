@@ -87,7 +87,7 @@ class TestSccGen:
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
             SccGen(n=3, n_sccs=4, inner_attack_prob=0.5,
-                   outer_attack_prob=0.5).validate()
+                   outer_attack_prob=0.5)
 
 
 class TestStableGen:
@@ -122,7 +122,7 @@ class TestStableGen:
             StableGen(n=5, min_num_extensions=3, max_num_extensions=2,
                       min_size_of_extensions=1, max_size_of_extensions=1,
                       min_size_of_grounded_extension=0,
-                      max_size_of_grounded_extension=0).validate()
+                      max_size_of_grounded_extension=0)
 
 
 class TestErdosRenyi:
@@ -168,7 +168,7 @@ class TestWattsStrogatz:
 
     def test_odd_k_rejected(self):
         with pytest.raises(InvalidConfigError):
-            WattsStrogatz(n=10, k=3, beta=0.1, prob_cycles=0.1).validate()
+            WattsStrogatz(n=10, k=3, beta=0.1, prob_cycles=0.1)
 
 
 class TestBarabasiAlbert:
@@ -321,6 +321,10 @@ class TestBatchAndPresets:
     def test_parse_batch_line(self):
         cfg, count, graph = parse_batch_line("erdos n=10 prob_attacks=0.5 count=3")
         assert cfg == ErdosRenyi(n=10, prob_attacks=0.5) and count == 3
+
+    def test_parse_batch_line_rejects_invalid_values(self):
+        with pytest.raises(InvalidConfigError, match="prob_attacks"):
+            parse_batch_line("erdos n=10 prob_attacks=1.5")
 
     def test_parse_batch_file_reports_line(self):
         with pytest.raises(InvalidConfigError) as err:
