@@ -18,20 +18,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
+from enum import StrEnum
 from typing import Sequence
 
 
-class HardnessCategory(str, Enum):
+class HardnessCategory(StrEnum):
     VERY_EASY = "very_easy"
     EASY = "easy"
     MEDIUM = "medium"
     HARD = "hard"
     TOO_HARD = "too_hard"
     NOT_CLASSIFIED = "not_classified"
-
-    def __str__(self) -> str:
-        return self.value
 
 
 @dataclass(frozen=True)

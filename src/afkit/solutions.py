@@ -29,7 +29,6 @@ outcome.
 from __future__ import annotations
 
 import re
-import sys
 
 from .errors import FormatError
 from .formats import ID_PATTERN
@@ -38,13 +37,12 @@ from .tasks import (DECISION_PROBLEMS, AllExtensions, Answer, FrozenValue,
                     answer_matches_task, sorted_members)
 
 _S = r"\s*"
-# A possessive repeat (Python 3.11 on) keeps no state to backtrack into, so
+# The repeats are possessive: they keep no state to backtrack into, so
 # matching a long answer does not take memory per id; no text of this
 # grammar needs a repeat to give an iteration back.
-_MANY = "*+" if sys.version_info >= (3, 11) else "*"
-_LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S}){_MANY})?\]"
+_LIST = rf"\[{_S}(?:{ID_PATTERN}{_S}(?:,{_S}{ID_PATTERN}{_S})*+)?\]"
 # An enumeration; its group is the text between the outer brackets.
-_ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S}){_MANY})?)\]"
+_ENUM = rf"\[{_S}((?:{_LIST}{_S}(?:,{_S}{_LIST}{_S})*+)?)\]"
 _VERDICT = rf"{_S}(YES|NO){_S}"
 # Each shape compiles on first use, through re's own cache: a solver-mode
 # call writes one answer and parses none, so it does not pay for compiling.

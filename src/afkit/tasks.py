@@ -8,7 +8,7 @@ admit DC and SE, which yields 24 semantics tasks; D3 makes 25.
 from __future__ import annotations
 
 from collections.abc import Iterable
-from enum import Enum
+from enum import StrEnum
 
 from .errors import MalformedTaskError
 
@@ -61,7 +61,7 @@ class FrozenValue:
         return self.__class__, self._values()
 
 
-class Semantics(str, Enum):
+class Semantics(StrEnum):  # str() is the wire form, e.g. "PR" in "EE-PR"
     CO = "CO"
     PR = "PR"
     ST = "ST"
@@ -69,9 +69,6 @@ class Semantics(str, Enum):
     STG = "STG"
     GR = "GR"
     ID = "ID"
-
-    def __str__(self) -> str:  # wire form, e.g. "EE-PR"
-        return self.value
 
 
 SINGLE_STATUS = frozenset({Semantics.GR, Semantics.ID})
