@@ -8,7 +8,8 @@ grounded fixed point, and the strongly connected components of an attack
 graph.
 
 A framework holds its argument names and its attacks as index adjacency
-lists, and nothing else.  The code that scans argument subsets as bitmasks,
+lists, and nothing else; its set of attack name pairs is derived from them,
+in O(m), on each access.  The code that scans argument subsets as bitmasks,
 the exhaustive oracle and the engine's stage semantics, builds the masks it
 needs from those lists itself, so that the two share no mask code.
 
@@ -32,9 +33,12 @@ class ArgumentationFramework:
     Arguments keep their construction order (used for deterministic output);
     attacks are an unordered set of ``(attacker, target)`` pairs.  Self-attacks
     are allowed.  Duplicate argument ids collapse to their first occurrence.
+    The index adjacency is the one stored form of the attacks: ``attacks``
+    derives its frozenset from it, in O(m), on every access, so a caller
+    that needs the set more than once keeps its own.
     """
 
-    __slots__ = ("_args", "_attacks", "_index", "_attackers", "_targets")
+    __slots__ = ("_args", "_index", "_attackers", "_targets")
 
     def __init__(self, args: Iterable[ArgumentId],
                  attacks: Iterable[tuple[ArgumentId, ArgumentId]] = ()):
@@ -47,8 +51,9 @@ class ArgumentationFramework:
         # endpoints up in the order the caller gave them: for a parsed file
         # that is line order, whose strings lie together in memory, and it
         # makes the first undeclared endpoint the one reported.  The codes,
-        # made distinct and sorted, fill both adjacency lists in order,
-        # which leaves each of them sorted.  The lists take their ints from
+        # sorted, fill both adjacency lists in order, which leaves each of
+        # them sorted; a code equal to the one before it is a repeated
+        # attack and is skipped.  The lists take their ints from
         # ``ids``, the index's own objects, rather than fresh ones from
         # divmod, so the adjacency tuples add no int objects.
         try:
@@ -58,14 +63,15 @@ class ArgumentationFramework:
                             if s not in index or d not in index)
             raise UnknownArgumentError(
                 f"attack ({src},{dst}) mentions an undeclared argument") from None
-        self._attacks: frozenset[tuple[str, str]] = frozenset(attacks)
-        if len(codes) > len(self._attacks):   # repeated attacks
-            codes = list(set(codes))
         codes.sort()
         ids = list(index.values())
         attackers: list[list[int]] = [[] for _ in range(n)]
         targets: list[list[int]] = [[] for _ in range(n)]
+        last = -1
         for code in codes:
+            if code == last:
+                continue
+            last = code
             s, d = divmod(code, n)
             targets[s].append(ids[d])
             attackers[d].append(ids[s])
@@ -79,7 +85,9 @@ class ArgumentationFramework:
 
     @property
     def attacks(self) -> frozenset[tuple[str, str]]:
-        return self._attacks
+        args = self._args
+        return frozenset((args[s], args[d])
+                         for s, ds in enumerate(self._targets) for d in ds)
 
     def __len__(self) -> int:
         return len(self._args)
@@ -90,14 +98,14 @@ class ArgumentationFramework:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ArgumentationFramework):
             return NotImplemented
-        return self._args == other._args and self._attacks == other._attacks
+        return self._args == other._args and self._targets == other._targets
 
     def __hash__(self) -> int:
-        return hash((self._args, self._attacks))
+        return hash((self._args, self._targets))
 
     def __repr__(self) -> str:
         return (f"ArgumentationFramework({len(self._args)} args, "
-                f"{len(self._attacks)} attacks)")
+                f"{sum(map(len, self._targets))} attacks)")
 
     def index_of(self, arg: str) -> int:
         try:

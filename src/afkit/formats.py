@@ -100,9 +100,17 @@ def _check_apx_lines(text: str) -> None:
                         line=lineno)
 
 
+def _sorted_attacks(af: ArgumentationFramework) -> list[tuple[str, str]]:
+    # In index order the pairs come in long sorted runs, which sort far
+    # faster than the hash order of ``af.attacks``.
+    args = af.args
+    return sorted([(args[s], args[t])
+                   for s, ts in enumerate(af.target_indices()) for t in ts])
+
+
 def write_apx(af: ArgumentationFramework) -> str:
     lines = [f"arg({a})." for a in af.args]
-    lines += [f"att({s},{t})." for s, t in sorted(af.attacks)]
+    lines += [f"att({s},{t})." for s, t in _sorted_attacks(af)]
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -143,7 +151,7 @@ def parse_tgf(text: str) -> ArgumentationFramework:
 def write_tgf(af: ArgumentationFramework) -> str:
     lines = list(af.args)
     lines.append("#")
-    lines += [f"{s} {t}" for s, t in sorted(af.attacks)]
+    lines += [f"{s} {t}" for s, t in _sorted_attacks(af)]
     return "\n".join(lines) + "\n"
 
 

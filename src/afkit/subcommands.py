@@ -82,10 +82,11 @@ def _cmd_generate(argv) -> int:
             name = f"{kind}_{index:05d}.{opts.format}"
             (out / name).write_text(write_framework(af, opts.format),
                                     encoding="utf-8")
-            sccs = strongly_connected_components(af.target_indices())
+            targets = af.target_indices()
+            sccs = strongly_connected_components(targets)
             manifest.append({"file": name, "domain": kind,
                              "config": asdict(cfg), "seed": opts.seed,
-                             "args": len(af.args), "attacks": len(af.attacks),
+                             "args": len(af.args), "attacks": sum(map(len, targets)),
                              "sccs": len(sccs),
                              "largest_scc": max(map(len, sccs), default=0)})
             index += 1
@@ -129,7 +130,7 @@ def _cmd_classify(argv) -> int:
     solvers = load_roster(opts.roster)
     if len(solvers) != 3:
         p.error(f"classification needs exactly 3 reference solvers, got {len(solvers)}")
-    parse_task(opts.task)
+    task = parse_task(opts.task)
     instance_dir = Path(opts.instances)
     domains = _load_domain_map(instance_dir)
     paths = sorted(q for q in instance_dir.iterdir()
@@ -144,7 +145,6 @@ def _cmd_classify(argv) -> int:
     by_instance: dict = {}
     for r in records:
         by_instance.setdefault(r.instance, []).append(r)
-    task = parse_task(opts.task)
     rows = []
     for q in paths:
         runs = []
@@ -308,14 +308,10 @@ def _cmd_run(argv) -> int:
                     continue
                 if not solver.supports_format(fmt):
                     continue
-                if needs_query:
-                    for q in queries:
-                        jobs.append(JobSpec(solver, task_name, instance_id,
-                                            path, fmt, query=q,
-                                            limits=_limits_for(opts, task_name)))
-                else:
+                for q in (queries if needs_query else [None]):
                     jobs.append(JobSpec(solver, task_name, instance_id, path,
-                                        fmt, limits=_limits_for(opts, task_name)))
+                                        fmt, query=q,
+                                        limits=_limits_for(opts, task_name)))
 
     records = run_jobs(jobs, parallelism=opts.jobs)
     _judge_records(records, {i: p for i, p, _ in instances}, opts.ref_budget)

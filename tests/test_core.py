@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -70,6 +71,27 @@ class TestFramework:
     def test_adjacency(self, example1):
         assert example1.attackers_of("c") == ("b", "e")
         assert example1.targets_of("d") == ("e", "g")
+
+    def test_adjacency_is_the_one_stored_attack_relation(self, example1):
+        assert ArgumentationFramework.__slots__ == (
+            "_args", "_index", "_attackers", "_targets")
+        assert not any(isinstance(r, frozenset)
+                       for r in gc.get_referents(example1))
+        assert repr(example1) == "ArgumentationFramework(8 args, 12 attacks)"
+
+    @settings(max_examples=80, deadline=None)
+    @given(af=small_af(), data=st.data())
+    def test_attack_order_and_repeats_do_not_matter(self, af, data):
+        attacks = sorted(af.attacks)
+        noisy = data.draw(st.permutations(attacks + attacks[:len(attacks) // 2]))
+        rebuilt = ArgumentationFramework(af.args, noisy)
+        assert rebuilt == af and hash(rebuilt) == hash(af)
+        assert ArgumentationFramework(af.args, af.attacks) == af
+        if attacks:
+            dropped = data.draw(st.sampled_from(attacks))
+            fewer = ArgumentationFramework(
+                af.args, [a for a in attacks if a != dropped])
+            assert fewer != af and fewer.attacks == af.attacks - {dropped}
 
 
 class TestConflictFree:
