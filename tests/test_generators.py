@@ -317,6 +317,30 @@ class TestCycleEnrichmentPins:
         assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
+class TestAllPairsDrawPins:
+    # SHA-256 of the APX text, recorded when every pair drew its own coin.
+    # The grounded and SCC generators draw one coin per argument pair, so
+    # any change to the pair order or to the draws shows here.
+    PINS = [
+        (GroundedGen(n=1500, prob_attacks=0.05), 3,
+         "896949f506a5ec5e0e52cbb1326fb5a18c5a9b9f9ee82a83935cf039651faec9"),
+        (SccGen(n=2000, n_sccs=40, inner_attack_prob=0.5,
+                outer_attack_prob=0.1), 3,
+         "4b3781cfa88a1042969ac4a9718a1259d1e71902ec90a0fee6dcb78f88546217"),
+        # One component: only the inner loop draws.
+        (SccGen(n=300, n_sccs=1, inner_attack_prob=0.3,
+                outer_attack_prob=0.1), 3,
+         "25c95801a42a6387c2719b920de8ed56ac33111a1a99c15eda98de37ba602883"),
+    ]
+
+    @pytest.mark.parametrize("cfg,seed,digest", PINS,
+                             ids=[f"{type(c).__name__}-n{c.n}-seed{s}"
+                                  for c, s, _ in PINS])
+    def test_bytes_match_pin(self, cfg, seed, digest):
+        text = write_apx(generate(cfg, SeededRng(seed)))
+        assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
+
+
 class TestBatchAndPresets:
     def test_parse_batch_line(self):
         cfg, count, graph = parse_batch_line("erdos n=10 prob_attacks=0.5 count=3")
