@@ -39,21 +39,28 @@ def parse_apx(text: str) -> ArgumentationFramework:
     yields an ``(arg, src, dst)`` triple per line, all empty for a blank
     line.  A line yields at most one match, so every line matched iff there
     are as many matches as lines; only otherwise is the text walked line by
-    line for the first bad one.
+    line for the first bad one.  The collector is paused for the parse
+    (``_collector_paused``).
+    """
+    return _collector_paused(_parse_apx, text)
 
-    The cyclic garbage collector is paused for the parse: the strings,
-    tuples and lists it allocates hold no reference cycles, yet on a large
-    file their allocation triggers collections that walk them all again.
-    It is switched back on afterwards only if it was on before.  The pause
-    trades many collections for one: the first allocation after the
-    collector is back on starts a collection that walks every object of
-    the parse once.  Solver mode avoids that one as well, by loading with
-    the collector off and freezing what it loaded (``cli``).
+
+def _collector_paused(parse, text: str) -> ArgumentationFramework:
+    """``parse(text)`` with the cyclic garbage collector paused.
+
+    The strings, tuples and lists a parse allocates hold no reference
+    cycles, yet on a large file their allocation triggers collections that
+    walk them all again.  The collector is switched back on afterwards,
+    whether the parse returns or raises, only if it was on before.  The
+    pause trades many collections for one: the first allocation after the
+    collector is back on starts a collection that walks every object of the
+    parse once.  Solver mode avoids that one as well, by loading with the
+    collector off and freezing what it loaded (``cli``).
     """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
-        return _parse_apx(text)
+        return parse(text)
     finally:
         if was_enabled:
             gc.enable()
@@ -115,7 +122,12 @@ def write_apx(af: ArgumentationFramework) -> str:
 
 
 def parse_tgf(text: str) -> ArgumentationFramework:
-    """Parse TGF text: node lines, one ``#`` separator, then edge lines."""
+    """Parse TGF text: node lines, one ``#`` separator, then edge lines.
+    The collector is paused for the parse (``_collector_paused``)."""
+    return _collector_paused(_parse_tgf, text)
+
+
+def _parse_tgf(text: str) -> ArgumentationFramework:
     args: list[str] = []
     seen = set()
     attacks: list[tuple[str, str]] = []

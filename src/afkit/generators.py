@@ -14,7 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import (accumulate, combinations, compress, permutations,
+                       product)
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgumentationFramework, strongly_connected_components
@@ -178,14 +179,14 @@ def _names(n: int) -> List[str]:
 
 def gen_grounded(cfg: GroundedGen, rng: SeededRng) -> ArgumentationFramework:
     """Linearly ordered arguments with forward attacks, isolated ones then
-    connected to the built component by one random attack each."""
+    connected to the built component by one random attack each.
+
+    The forward attacks take one coin per pair i < j, drawn in the order of
+    the pairs (``combinations``)."""
     names = _names(cfg.n)
     edges = rng.split("order-attacks")
-    attacks: Set[Tuple[str, str]] = set()
-    for i in range(cfg.n):
-        for j in range(i + 1, cfg.n):
-            if edges.coin(cfg.prob_attacks):
-                attacks.add((names[i], names[j]))
+    draws = edges.coins(cfg.prob_attacks, cfg.n * (cfg.n - 1) // 2)
+    attacks = set(compress(combinations(names, 2), draws))
     touched = {a for pair in attacks for a in pair}
     connect = rng.split("connect-isolated")
     component = [a for a in names if a in touched]
@@ -210,7 +211,11 @@ def gen_grounded(cfg: GroundedGen, rng: SeededRng) -> ArgumentationFramework:
 
 def gen_scc(cfg: SccGen, rng: SeededRng) -> ArgumentationFramework:
     """Linearly ordered components of near-equal size; dense attacks inside
-    each component, sparse attacks only from lower- to higher-ranked ones."""
+    each component, sparse attacks only from lower- to higher-ranked ones.
+
+    Each ordered pair takes one coin, drawn in the order of the pairs: a
+    component's ``permutations`` on the inner stream, then each lower/higher
+    component pair's ``product`` on the outer one."""
     names = _names(cfg.n)
     base, extra = divmod(cfg.n, cfg.n_sccs)
     comps: List[List[str]] = []
@@ -222,17 +227,12 @@ def gen_scc(cfg: SccGen, rng: SeededRng) -> ArgumentationFramework:
     attacks: Set[Tuple[str, str]] = set()
     inner = rng.split("inner")
     for comp in comps:
-        for a in comp:
-            for b in comp:
-                if a != b and inner.coin(cfg.inner_attack_prob):
-                    attacks.add((a, b))
+        draws = inner.coins(cfg.inner_attack_prob, len(comp) * (len(comp) - 1))
+        attacks.update(compress(permutations(comp, 2), draws))
     outer = rng.split("outer")
-    for lo in range(len(comps)):
-        for hi in range(lo + 1, len(comps)):
-            for a in comps[lo]:
-                for b in comps[hi]:
-                    if outer.coin(cfg.outer_attack_prob):
-                        attacks.add((a, b))
+    for lo, hi in combinations(comps, 2):
+        draws = outer.coins(cfg.outer_attack_prob, len(lo) * len(hi))
+        attacks.update(compress(product(lo, hi), draws))
     return ArgumentationFramework(names, attacks)
 
 

@@ -2,9 +2,16 @@
 
 The generator is Mersenne Twister (MT19937) driven exclusively through
 ``getrandbits``, with all derived draws (uniform floats, bounded integers,
-choice, sample, coin) implemented here.  That keeps every stream
+choice, sample, coin, coins) implemented here.  That keeps every stream
 bit-identical across platforms and Python versions: the stdlib guarantees the
 raw MT output, while its higher-level helpers do not.
+
+``coins`` draws many coins in bulk from the same words that as many ``coin``
+calls would read.  ``getrandbits(53)`` takes two 32-bit MT words w0, w1 and
+returns ``w0 | (w1 >> 11) << 32``; ``getrandbits(64 * k)`` takes exactly 2k
+words and places them from least to most significant.  So byte group i of
+its little-endian bytes is the pair read by the i-th ``coin``, with the
+draw's top 8 bits in the group's last byte.
 
 Streams are split by label: a child seed is the first 8 bytes of
 SHA-256("<seed>/<label>"), so each generator phase draws from its own
@@ -14,12 +21,14 @@ independent, reproducible stream.
 from __future__ import annotations
 
 import hashlib
+import math
 import random
 from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
 _MASK64 = (1 << 64) - 1
+_COIN_CHUNK = 4096   # coins drawn per getrandbits call in ``coins``
 
 
 class SeededRng:
@@ -75,3 +84,34 @@ class SeededRng:
         """True with probability ``p``: the draw of ``random()`` below
         ``p``, with both sides scaled by 2^53, which is exact."""
         return self._mt.getrandbits(53) < p * (1 << 53)
+
+    def coins(self, p: float, m: int) -> bytearray:
+        """Outcomes of ``m`` calls of ``coin(p)``, as 0/1 flags, leaving the
+        stream where those ``m`` calls would leave it.
+
+        The draws come a chunk at a time from one ``getrandbits`` call (see
+        the module docstring for the word layout).  A draw is an integer, so
+        it is below ``p * 2^53`` exactly when it is below the ceiling ``t``
+        of that product.  Its top byte decides the outcome unless it equals
+        ``t``'s top byte; only those ties, one draw in 256, read the rest.
+        """
+        if not p > 0:           # also NaN, which no draw is below
+            t = 0
+        else:
+            t = math.ceil(min(p, 1.0) * (1 << 53))
+        top_t = t >> 45         # 256 when every draw is below t
+        table = bytes(b < top_t for b in range(256))
+        flags = bytearray()
+        for start in range(0, m, _COIN_CHUNK):
+            k = min(_COIN_CHUNK, m - start)
+            buf = self._mt.getrandbits(64 * k).to_bytes(8 * k, "little")
+            tops = buf[7::8]
+            flags += tops.translate(table)
+            if top_t > 255:
+                continue
+            i = tops.find(top_t)
+            while i >= 0:
+                g = int.from_bytes(buf[8 * i:8 * i + 8], "little")
+                flags[start + i] = (g & 0xFFFFFFFF | g >> 43 << 32) < t
+                i = tops.find(top_t, i + 1)
+        return flags
