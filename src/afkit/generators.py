@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import (accumulate, combinations, compress, permutations,
-                       product)
+from itertools import (accumulate, chain, combinations, compress,
+                       permutations, product)
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .core import ArgumentationFramework, strongly_connected_components
@@ -224,15 +224,17 @@ def gen_scc(cfg: SccGen, rng: SeededRng) -> ArgumentationFramework:
         size = base + (1 if c < extra else 0)
         comps.append(names[pos:pos + size])
         pos += size
-    attacks: Set[Tuple[str, str]] = set()
-    inner = rng.split("inner")
-    for comp in comps:
-        draws = inner.coins(cfg.inner_attack_prob, len(comp) * (len(comp) - 1))
-        attacks.update(compress(permutations(comp, 2), draws))
-    outer = rng.split("outer")
-    for lo, hi in combinations(comps, 2):
-        draws = outer.coins(cfg.outer_attack_prob, len(lo) * len(hi))
-        attacks.update(compress(product(lo, hi), draws))
+    # With s_c the size of component c: sum(s_c^2) - n ordered pairs inside
+    # components, (n^2 - sum(s_c^2)) / 2 from a lower to a higher one.
+    squares = sum(len(comp) ** 2 for comp in comps)
+    inner = chain.from_iterable(permutations(comp, 2) for comp in comps)
+    draws = rng.split("inner").coins(cfg.inner_attack_prob, squares - cfg.n)
+    attacks = set(compress(inner, draws))
+    outer = chain.from_iterable(product(lo, hi)
+                                for lo, hi in combinations(comps, 2))
+    draws = rng.split("outer").coins(cfg.outer_attack_prob,
+                                     (cfg.n ** 2 - squares) // 2)
+    attacks.update(compress(outer, draws))
     return ArgumentationFramework(names, attacks)
 
 

@@ -95,12 +95,10 @@ class SeededRng:
         of that product.  Its top byte decides the outcome unless it equals
         ``t``'s top byte; only those ties, one draw in 256, read the rest.
         """
-        if not p > 0:           # also NaN, which no draw is below
-            t = 0
-        else:
-            t = math.ceil(min(p, 1.0) * (1 << 53))
+        # p <= 0 or NaN: no draw is below p * 2^53.
+        t = math.ceil(min(p, 1.0) * (1 << 53)) if p > 0 else 0
         top_t = t >> 45         # 256 when every draw is below t
-        table = bytes(b < top_t for b in range(256))
+        table = b"\x01" * top_t + bytes(256 - top_t)   # 1 below top_t
         flags = bytearray()
         for start in range(0, m, _COIN_CHUNK):
             k = min(_COIN_CHUNK, m - start)
