@@ -98,7 +98,7 @@ class SeededRng:
         # p <= 0 or NaN: no draw is below p * 2^53.
         t = math.ceil(min(p, 1.0) * (1 << 53)) if p > 0 else 0
         top_t = t >> 45         # 256 when every draw is below t
-        table = b"\x01" * top_t + bytes(256 - top_t)   # 1 below top_t
+        table = b"\x01" * top_t + bytes(256 - top_t)   # b -> b < top_t
         flags = bytearray()
         for start in range(0, m, _COIN_CHUNK):
             k = min(_COIN_CHUNK, m - start)
