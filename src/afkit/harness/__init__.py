@@ -10,7 +10,7 @@ from .scoring import RankedRow, SolverCounts, rank_counts, score
 from .select import (GROUPS, SelectionQuota, assign_ideal_queries,
                      assign_query_arguments, select_arguments,
                      select_benchmarks, select_by_quota, select_ideal_argument)
-from .report import emit_counts_report, emit_report, stable_existence_report
+from .report import emit_counts_report, emit_report
 
 __all__ = [
     "HardnessCategory", "RefRun", "classify_hardness",
@@ -21,5 +21,5 @@ __all__ = [
     "GROUPS", "SelectionQuota", "assign_ideal_queries",
     "assign_query_arguments", "select_arguments", "select_benchmarks",
     "select_by_quota", "select_ideal_argument",
-    "emit_counts_report", "emit_report", "stable_existence_report",
+    "emit_counts_report", "emit_report",
 ]

@@ -8,8 +8,9 @@ but not all extensions).
 until one decides:
 
 1. An unparsable answer scores 0.
-2. A claimed single extension (SE) is verified directly: any extension is a
-   correct answer, so the reference is never computed for it.
+2. A claimed single extension (SE) is verified directly, since any
+   extension is a correct answer.  The ideal extension is unique, so an ID
+   claim is compared with the SE-ID reference instead.
 3. Any other answer is compared with the reference answer when one can be
    computed: DC, DS and an SE ``NO`` by equality, EE by the subset rule
    (some but not all extensions scores 0, a non-extension -5), D3 by the
@@ -28,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .. import engine, oracle
 from ..core import ArgumentationFramework
-from ..errors import BudgetExceededError, OracleSizeError, UnknownArgumentError
+from ..errors import BudgetExceededError, OracleSizeError
 from ..solutions import SolutionText, write_solution
 from ..tasks import Answer, Semantics, TaskSpec
 from ..verify import verify
@@ -49,9 +50,10 @@ class Judgement:
 class ReferenceBundle:
     """Reference answers for one instance, computed lazily and cached.
 
-    The default backend uses the exhaustive oracle within its size cap and
-    the search engine above it; a budget turns unsolvable instances into
-    "no reference" rather than a hang.
+    This is the one way the harness reaches a solver.  The default backend
+    uses the exhaustive oracle within its size cap and the search engine
+    above it; a budget turns unsolvable instances into "no reference"
+    rather than a hang.
     """
 
     def __init__(self, af: ArgumentationFramework,
@@ -80,13 +82,17 @@ class ReferenceBundle:
         return self._cache[task]
 
     def is_extension(self, sem: Semantics, members) -> Optional[bool]:
-        """Direct verification; None when it cannot be decided."""
-        try:
-            return verify(sem, self.af, members)
-        except UnknownArgumentError:
+        """Whether ``members`` is a ``sem``-extension; None when it cannot
+        be decided.  The ideal extension is unique, so an ID claim is
+        compared with the reference SE-ID answer, under the bundle's budget;
+        the other semantics are verified directly."""
+        s = frozenset(members)
+        if not all(a in self.af for a in s):
             return False
-        except BudgetExceededError:
-            return None
+        if sem == Semantics.ID:
+            ideal = self.answer_for(TaskSpec("SE", Semantics.ID))
+            return None if ideal is None else ideal.extension == s
+        return verify(sem, self.af, s)
 
 
 def _against(task: TaskSpec, answer: Answer, truth: Answer) -> str:

@@ -1,16 +1,12 @@
-"""Result reporting: ranking tables, cactus-plot series, and the
-stable-extension existence analysis."""
+"""Result reporting: ranking tables and cactus-plot series."""
 
 from __future__ import annotations
 
 import csv
 import json
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
-from ..core import ArgumentationFramework
-from ..errors import BudgetExceededError
-from .classify import HardnessCategory
 from .records import JobRecord
 from .scoring import RankedRow, SolverCounts, aggregate, rank_counts
 
@@ -86,28 +82,3 @@ def emit_counts_report(counts: Iterable[SolverCounts], out_dir) -> List[dict]:
     _write_summary(rows, out, _COUNT_COLUMNS)
     return rows
 
-
-def stable_existence_report(
-        instances: Sequence[Tuple[str, ArgumentationFramework, HardnessCategory]],
-        has_stable: Optional[Callable[[ArgumentationFramework], bool]] = None,
-) -> Dict[str, Dict[str, int]]:
-    """Tally stable-extension existence per hardness category.
-
-    ``has_stable`` may raise BudgetExceededError; those land in the
-    ``unknown`` column.  Row totals always equal the number of instances."""
-    if has_stable is None:
-        from ..engine import solve_optimized
-        from ..tasks import parse_task
-
-        def has_stable(af, _task=parse_task("SE-ST")):
-            return solve_optimized(_task, af, budget=200000).extension is not None
-
-    rows: Dict[str, Dict[str, int]] = {}
-    for _, af, category in instances:
-        row = rows.setdefault(str(category),
-                              {"nonempty": 0, "empty": 0, "unknown": 0})
-        try:
-            row["nonempty" if has_stable(af) else "empty"] += 1
-        except BudgetExceededError:
-            row["unknown"] += 1
-    return rows

@@ -12,7 +12,10 @@ too hard instances get two queries, everything else one, which keeps the
 per-task instance count at 350.  Draws are random but rebalanced toward a
 configurable minimum fraction of yes- and no-instances per decision task.
 The DC-ID queries use a dedicated strategy biased toward arguments in every
-preferred extension but outside the grounded one.
+preferred extension but outside the grounded one.  This module runs no
+solver: the yes/no answers and the preferred extensions come from functions
+the caller passes in, which ``afkit select`` backs with a
+``ReferenceBundle`` per instance.
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core import ArgumentationFramework, grounded_extension
-from ..engine import enumerate_extensions
-from ..errors import BudgetExceededError, InsufficientPoolError
+from ..errors import InsufficientPoolError
 from ..rng import SeededRng
-from ..tasks import Semantics
+from ..tasks import Extension
 from .classify import HardnessCategory
 
 # Task groups with their member tasks and (for A, B, C) the representative
@@ -42,6 +44,9 @@ GROUPS: Dict[str, dict] = {
                     "DC-STG", "DS-STG", "EE-STG", "SE-STG"),
           "representative": None, "benchmark_group": "A"},
 }
+
+# Redraws tried while rebalancing the yes/no answers of the query arguments.
+REBALANCE_ROUNDS = 200
 
 
 @dataclass(frozen=True)
@@ -127,21 +132,21 @@ def select_arguments(af: ArgumentationFramework, category: HardnessCategory,
     return rng.sample(list(af.args), k)
 
 
-def select_ideal_argument(af: ArgumentationFramework, rng: SeededRng,
-                          budget: Optional[int] = None) -> str:
+def select_ideal_argument(af: ArgumentationFramework,
+                          preferred: Sequence[Extension],
+                          rng: SeededRng) -> str:
     """Query-argument strategy for credulous ideal reasoning.
 
-    With probability 0.9, pick from the preferred intersection minus the
-    grounded extension when that set is non-empty (those are the queries the
-    easy implications cannot settle); otherwise with probability 0.6 from the
+    ``preferred`` holds the preferred extensions of ``af``.  With
+    probability 0.9, pick from their intersection minus the grounded
+    extension when that set is non-empty (those are the queries the easy
+    implications cannot settle); otherwise with probability 0.6 from the
     grounded extension when non-empty; otherwise from the arguments outside
-    the preferred intersection.  Raises BudgetExceededError when preferred
-    enumeration blows the budget; callers fall back to a uniform pick.
+    the preferred intersection.
     """
     grounded = grounded_extension(af)
-    prefs = enumerate_extensions(Semantics.PR, af, budget)
-    inter = set(prefs[0]) if prefs else set()
-    for p in prefs[1:]:
+    inter = set(preferred[0]) if preferred else set()
+    for p in preferred[1:]:
         inter &= p
     alpha = rng.random()
     beta = rng.random()
@@ -157,13 +162,15 @@ def select_ideal_argument(af: ArgumentationFramework, rng: SeededRng,
 
 
 def assign_ideal_queries(instances: Sequence[Tuple[str, ArgumentationFramework, HardnessCategory]],
-                         rng: SeededRng, budget: Optional[int] = None
-                         ) -> Dict[str, List[str]]:
+                         preferred_fn: Callable[[ArgumentationFramework],
+                                                Optional[Sequence[Extension]]],
+                         rng: SeededRng) -> Dict[str, List[str]]:
     """Distinct credulous-ideal query arguments per instance (group D).
 
     Each instance gets ``query_count_for`` its category.  Easy and medium
-    instances draw with ``select_ideal_argument``, falling back to a uniform
-    pick when preferred enumeration exceeds ``budget``; the other categories
+    instances draw with ``select_ideal_argument`` on the preferred
+    extensions from ``preferred_fn(af)``, falling back to a uniform pick
+    when that is None (no reference within budget); the other categories
     draw uniformly.
     """
     out: Dict[str, List[str]] = {}
@@ -171,14 +178,13 @@ def assign_ideal_queries(instances: Sequence[Tuple[str, ArgumentationFramework, 
         count = min(query_count_for(category), len(af))
         picks: List[str] = []
         while len(picks) < count:
-            arg = None
+            preferred = None
             if category in (HardnessCategory.EASY, HardnessCategory.MEDIUM):
-                try:
-                    arg = select_ideal_argument(af, rng, budget=budget)
-                except BudgetExceededError:
-                    pass
-            if arg is None:
+                preferred = preferred_fn(af)
+            if preferred is None:
                 arg = rng.choice(list(af.args))
+            else:
+                arg = select_ideal_argument(af, preferred, rng)
             if arg not in picks:
                 picks.append(arg)
         out[name] = picks
@@ -198,15 +204,16 @@ def assign_query_arguments(instances: Sequence[Tuple[str, ArgumentationFramework
                            answer_fn: Callable[[str, ArgumentationFramework, str], Optional[bool]],
                            rng: SeededRng,
                            min_yes_fraction: float = 0.2,
-                           min_no_fraction: float = 0.2,
-                           max_rounds: int = 200) -> Tuple[List[QueryAssignment], Dict[str, dict]]:
+                           min_no_fraction: float = 0.2
+                           ) -> Tuple[List[QueryAssignment], Dict[str, dict]]:
     """Draw query arguments, then rebalance toward per-task yes/no minimums.
 
     ``answer_fn(task_name, af, query)`` adjudicates one query (None when the
     adjudicator cannot answer within budget).  Rebalancing redraws one
-    instance's queries at a time and keeps the redraw only when the total
-    deficit across decision tasks shrinks.  Remaining deficits are reported,
-    not fatal: some corpora simply lack enough yes (or no) instances.
+    instance's queries at a time, for at most ``REBALANCE_ROUNDS`` rounds,
+    and keeps the redraw only when the total deficit across decision tasks
+    shrinks.  Remaining deficits are reported, not fatal: some corpora
+    simply lack enough yes (or no) instances.
     """
     decision_tasks = [t for t in tasks if t.startswith(("DC-", "DS-"))]
     draws = rng.split("initial")
@@ -241,7 +248,7 @@ def assign_query_arguments(instances: Sequence[Tuple[str, ArgumentationFramework
     stats = tallies()
     redraw = rng.split("rebalance")
     candidates = [a for a in assignments if a.queries]
-    for _ in range(max_rounds):
+    for _ in range(REBALANCE_ROUNDS):
         if not decision_tasks or total_deficit(stats) == 0 or not candidates:
             break
         target = candidates[redraw.randbelow(len(candidates))]

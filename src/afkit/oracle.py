@@ -6,8 +6,8 @@ It is exact and independent of the optimized search engine: it takes only
 the framework type and ``bits`` from ``core``, builds per-argument attacker
 and target bitmasks from the index adjacency lists once per call, and keeps
 its subset predicates to itself, so that a fault in a helper cannot make
-the engine agree with its reference.  It is capped (default 20 arguments)
-so a mistaken call cannot scan 2^1000 subsets.
+the engine agree with its reference.  It is capped at 20 arguments
+(``SIZE_CAP``) so a mistaken call cannot scan 2^1000 subsets.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .errors import OracleSizeError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
 
-DEFAULT_SIZE_CAP = 20
+SIZE_CAP = 20
 
 
 def _mask(indices: Iterable[int]) -> int:
@@ -29,14 +29,13 @@ def _mask(indices: Iterable[int]) -> int:
     return m
 
 
-def _masks(af: ArgumentationFramework, size_cap: int
-           ) -> tuple[list[int], list[int]]:
+def _masks(af: ArgumentationFramework) -> tuple[list[int], list[int]]:
     """Per argument, the mask of its attackers and the mask of its targets;
-    raises OracleSizeError when ``af`` has more than ``size_cap``
+    raises OracleSizeError when ``af`` has more than ``SIZE_CAP``
     arguments."""
-    if len(af) > size_cap:
+    if len(af) > SIZE_CAP:
         raise OracleSizeError(
-            f"{len(af)} arguments exceed the oracle size cap of {size_cap}")
+            f"{len(af)} arguments exceed the oracle size cap of {SIZE_CAP}")
     return ([_mask(v) for v in af.attacker_indices()],
             [_mask(v) for v in af.target_indices()])
 
@@ -108,10 +107,9 @@ def _maximal_conflict_free(am: list[int], tm: list[int]) -> list[int]:
     return out
 
 
-def oracle_enumerate(sem: Semantics, af: ArgumentationFramework,
-                     size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
+def oracle_enumerate(sem: Semantics, af: ArgumentationFramework) -> tuple:
     """Exact extension set of ``af`` under ``sem``, in canonical order."""
-    am, tm = _masks(af, size_cap)
+    am, tm = _masks(af)
     sem = Semantics(sem)
     full = (1 << len(af)) - 1
 
@@ -159,8 +157,7 @@ def oracle_enumerate(sem: Semantics, af: ArgumentationFramework,
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
-def solve(task: TaskSpec, af: ArgumentationFramework,
-          size_cap: int = DEFAULT_SIZE_CAP) -> Answer:
+def solve(task: TaskSpec, af: ArgumentationFramework) -> Answer:
     """Reference task solver, backed entirely by exhaustive enumeration.
 
     DC holds iff the query is in some extension, DS iff it is in all of them
@@ -169,10 +166,10 @@ def solve(task: TaskSpec, af: ArgumentationFramework,
     distinguished "no extension" value.
     """
     if task.problem == "D3":
-        return Triathlon(oracle_enumerate(Semantics.GR, af, size_cap),
-                         oracle_enumerate(Semantics.ST, af, size_cap),
-                         oracle_enumerate(Semantics.PR, af, size_cap))
-    extensions = oracle_enumerate(task.semantics, af, size_cap)
+        return Triathlon(oracle_enumerate(Semantics.GR, af),
+                         oracle_enumerate(Semantics.ST, af),
+                         oracle_enumerate(Semantics.PR, af))
+    extensions = oracle_enumerate(task.semantics, af)
     if task.problem == "EE":
         return AllExtensions(extensions)
     if task.problem == "SE":
@@ -188,19 +185,17 @@ def solve(task: TaskSpec, af: ArgumentationFramework,
     raise AssertionError(f"unhandled problem {task.problem}")  # pragma: no cover
 
 
-def conflict_free_sets(af: ArgumentationFramework,
-                       size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
+def conflict_free_sets(af: ArgumentationFramework) -> tuple:
     """All conflict-free sets, in canonical order (exhaustive scan)."""
-    masks = _scan(*_masks(af, size_cap), _conflict_free)
+    masks = _scan(*_masks(af), _conflict_free)
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
-def admissible_sets(af: ArgumentationFramework,
-                    size_cap: int = DEFAULT_SIZE_CAP) -> tuple:
+def admissible_sets(af: ArgumentationFramework) -> tuple:
     """All admissible sets, in canonical order (exhaustive scan)."""
-    masks = _scan(*_masks(af, size_cap), _admissible)
+    masks = _scan(*_masks(af), _admissible)
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
-__all__ = ["DEFAULT_SIZE_CAP", "oracle_enumerate", "solve",
+__all__ = ["SIZE_CAP", "oracle_enumerate", "solve",
            "conflict_free_sets", "admissible_sets"]

@@ -229,17 +229,21 @@ def _cmd_select(argv) -> int:
         loaded = [(row["instance"], load_framework(row["path"]),
                    HardnessCategory(row["category"])) for row in selected]
         tasks = GROUPS[opts.group]["tasks"]
+        bundles = {id(af): ReferenceBundle(af, budget=opts.answer_budget)
+                   for _, af, _ in loaded}
+
+        def answer_fn(task_name, af, query):
+            ans = bundles[id(af)].answer_for(parse_task(task_name, query))
+            return None if ans is None else ans.value
+
+        def preferred_fn(af):
+            ans = bundles[id(af)].answer_for(parse_task("EE-PR"))
+            return None if ans is None else ans.extensions
+
         if opts.group == "D":
-            queries = assign_ideal_queries(loaded, rng.split("ideal-queries"),
-                                           budget=opts.answer_budget)
+            queries = assign_ideal_queries(loaded, preferred_fn,
+                                           rng.split("ideal-queries"))
         else:
-            bundles = {id(af): ReferenceBundle(af, budget=opts.answer_budget)
-                       for _, af, _ in loaded}
-
-            def answer_fn(task_name, af, query):
-                ans = bundles[id(af)].answer_for(parse_task(task_name, query))
-                return None if ans is None else ans.value
-
             assignments, balance = assign_query_arguments(
                 loaded, tasks, answer_fn, rng.split("queries"),
                 min_yes_fraction=opts.min_yes, min_no_fraction=opts.min_no)

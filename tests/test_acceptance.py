@@ -366,7 +366,8 @@ def test_criterion_9_ideal_argument_branch_rates(example1):
     # the example framework, where that pool is exactly {h}.
     rng = SeededRng(90210)
     draws = 10000
-    hits = sum(select_ideal_argument(example1, rng) == "h"
+    prefs = oracle.oracle_enumerate(Semantics.PR, example1)
+    hits = sum(select_ideal_argument(example1, prefs, rng) == "h"
                for _ in range(draws))
     rate = hits / draws
     assert abs(rate - 0.9) <= 0.01, rate
@@ -374,7 +375,9 @@ def test_criterion_9_ideal_argument_branch_rates(example1):
     # Framework where only the grounded pool is non-empty.
     af = ArgumentationFramework(["g", "b", "c"], [("b", "c"), ("c", "b")])
     rng = SeededRng(31337)
-    hits = sum(select_ideal_argument(af, rng) == "g" for _ in range(draws))
+    prefs = oracle.oracle_enumerate(Semantics.PR, af)
+    hits = sum(select_ideal_argument(af, prefs, rng) == "g"
+               for _ in range(draws))
     rate = hits / draws
     assert abs(rate - 0.6) <= 0.015, rate
     _report(9, "ideal query-argument branch rates")

@@ -185,3 +185,61 @@ def test_judge_never_accepts_enumeration_with_rejected_member():
                 assert verdict == INCORRECT
             else:
                 assert verdict in (CORRECT, ZERO)
+
+
+class TestIdealClaims:
+    @staticmethod
+    def pairs(k):
+        # k disjoint mutual attacks: 2^k preferred extensions, ideal = {}.
+        from afkit.core import ArgumentationFramework
+
+        args = [f"{side}{i}" for i in range(k) for side in "ab"]
+        attacks = [(f"a{i}", f"b{i}") for i in range(k)]
+        attacks += [(b, a) for a, b in attacks]
+        return ArgumentationFramework(args, attacks)
+
+    def test_judged_under_the_bundle_budget(self):
+        # 24 arguments, above the oracle's cap: the engine needs more than
+        # 100 nodes, so there is no verdict rather than an unbudgeted search.
+        bundle = ReferenceBundle(self.pairs(12), budget=100)
+        assert bundle.is_extension("ID", []) is None
+
+    def test_compared_with_the_reference(self):
+        bundle = ReferenceBundle(self.pairs(12), budget=1_000_000)
+        assert bundle.is_extension("ID", []) is True
+        assert bundle.is_extension("ID", ["a0"]) is False
+        assert bundle.is_extension("ID", ["zz"]) is False
+
+
+def _imported_modules(path):
+    """Every module a harness file imports, nested imports included, with
+    relative imports resolved against ``afkit.harness``."""
+    import ast
+
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                package = ["afkit", "harness"][:3 - node.level]
+                base = ".".join(package + ([base] if base else []))
+            yield base
+            yield from (f"{base}.{alias.name}" for alias in node.names)
+
+
+def test_only_the_judge_reaches_a_solver():
+    # The harness gets every solver answer through ReferenceBundle, so only
+    # judge.py may import the engine, the oracle or the verifier.
+    from pathlib import Path
+
+    import afkit.harness
+
+    solvers = ("afkit.engine", "afkit.oracle", "afkit.verify")
+    offenders = {}
+    for path in sorted(Path(afkit.harness.__file__).parent.glob("*.py")):
+        hits = {m for m in _imported_modules(path)
+                if any(m == s or m.startswith(s + ".") for s in solvers)}
+        if hits and path.name != "judge.py":
+            offenders[path.name] = sorted(hits)
+    assert offenders == {}

@@ -9,7 +9,13 @@ from afkit.harness.select import (GROUPS, SelectionQuota, assign_ideal_queries,
                                   assign_query_arguments, query_count_for,
                                   select_arguments, select_benchmarks,
                                   select_by_quota, select_ideal_argument)
+from afkit.oracle import oracle_enumerate
 from afkit.rng import SeededRng
+from afkit.tasks import Semantics
+
+
+def preferred(af):
+    return oracle_enumerate(Semantics.PR, af)
 
 
 class TestGroups:
@@ -154,8 +160,9 @@ class TestIdealArgumentStrategy:
         # preferred intersection is {h}, grounded empty: h with p=0.9.
         hits = 0
         rng = SeededRng(101)
+        prefs = preferred(example1)
         for _ in range(4000):
-            if select_ideal_argument(example1, rng) == "h":
+            if select_ideal_argument(example1, prefs, rng) == "h":
                 hits += 1
         assert abs(hits / 4000 - 0.9) < 0.02
 
@@ -164,7 +171,9 @@ class TestIdealArgumentStrategy:
         # so g is drawn with p=0.6, otherwise something outside.
         af = ArgumentationFramework(["g", "b", "c"], [("b", "c"), ("c", "b")])
         rng = SeededRng(7)
-        hits = sum(select_ideal_argument(af, rng) == "g" for _ in range(4000))
+        prefs = preferred(af)
+        hits = sum(select_ideal_argument(af, prefs, rng) == "g"
+                   for _ in range(4000))
         assert abs(hits / 4000 - 0.6) < 0.03
 
     def test_fallthrough_branch(self):
@@ -172,16 +181,18 @@ class TestIdealArgumentStrategy:
         # third pool, i.e. any argument outside the intersection.
         af = ArgumentationFramework(["b", "c"], [("b", "c"), ("c", "b")])
         rng = SeededRng(9)
+        prefs = preferred(af)
         for _ in range(50):
-            assert select_ideal_argument(af, rng) in ("b", "c")
+            assert select_ideal_argument(af, prefs, rng) in ("b", "c")
 
     def test_degenerate_whole_framework_accepted(self):
         af = ArgumentationFramework(["a"])
         # intersection == {a} == grounded: branch two fires with p=0.6,
         # otherwise the empty third pool falls back to a uniform pick.
         rng = SeededRng(3)
+        prefs = preferred(af)
         for _ in range(20):
-            assert select_ideal_argument(af, rng) == "a"
+            assert select_ideal_argument(af, prefs, rng) == "a"
 
 
 class TestIdealQueryAssignment:
@@ -191,15 +202,16 @@ class TestIdealQueryAssignment:
                      ("m", example1, HardnessCategory.MEDIUM),
                      ("h", example1, HardnessCategory.HARD),
                      ("th", example1, HardnessCategory.TOO_HARD)]
-        picks = assign_ideal_queries(instances, SeededRng(5))
+        picks = assign_ideal_queries(instances, preferred, SeededRng(5))
         assert {name: len(q) for name, q in picks.items()} == \
             {"ve": 0, "e": 1, "m": 1, "h": 1, "th": 2}
         assert len(set(picks["th"])) == 2
         assert all(a in example1 for q in picks.values() for a in q)
-        assert assign_ideal_queries(instances, SeededRng(5)) == picks
+        assert assign_ideal_queries(instances, preferred, SeededRng(5)) == picks
 
-    def test_budget_overrun_falls_back_to_a_uniform_pick(self, example1):
-        # Preferred enumeration of example 1 needs more than one node.
+    def test_no_preferred_gives_a_uniform_pick(self, example1):
+        # No reference within budget: one uniform draw, nothing else.
         picks = assign_ideal_queries([("e", example1, HardnessCategory.EASY)],
-                                     SeededRng(2), budget=1)
+                                     lambda af: None, SeededRng(2))
         assert len(picks["e"]) == 1 and picks["e"][0] in example1
+        assert picks["e"] == [SeededRng(2).choice(list(example1.args))]

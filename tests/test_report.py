@@ -3,12 +3,8 @@ import json
 
 import pytest
 
-from afkit.core import ArgumentationFramework
-from afkit.errors import BudgetExceededError
-from afkit.harness.classify import HardnessCategory
 from afkit.harness.records import JobRecord
-from afkit.harness.report import (cactus_series, emit_report,
-                                  stable_existence_report)
+from afkit.harness.report import cactus_series, emit_report
 
 
 def _rec(solver, instance, verdict, elapsed):
@@ -58,32 +54,3 @@ def test_cactus_series_monotone():
     assert times == sorted(times)
     assert times[-1] == pytest.approx(11.0)
 
-
-class TestStableExistence:
-    AF_WITH = ArgumentationFramework(["a", "b"], [("a", "b")])
-    AF_WITHOUT = ArgumentationFramework(["a"], [("a", "a")])
-
-    def test_tallies(self):
-        instances = [
-            ("i1", self.AF_WITH, HardnessCategory.EASY),
-            ("i2", self.AF_WITHOUT, HardnessCategory.EASY),
-            ("i3", self.AF_WITHOUT, HardnessCategory.HARD),
-        ]
-        rows = stable_existence_report(instances)
-        assert rows["easy"] == {"nonempty": 1, "empty": 1, "unknown": 0}
-        assert rows["hard"] == {"nonempty": 0, "empty": 1, "unknown": 0}
-
-    def test_budget_exhaustion_lands_in_unknown(self):
-        def exploding(af):
-            raise BudgetExceededError("too big")
-
-        rows = stable_existence_report(
-            [("i1", self.AF_WITH, HardnessCategory.TOO_HARD)],
-            has_stable=exploding)
-        assert rows["too_hard"] == {"nonempty": 0, "empty": 0, "unknown": 1}
-
-    def test_totals_conserved(self):
-        instances = [(f"i{k}", self.AF_WITH if k % 2 else self.AF_WITHOUT,
-                      HardnessCategory.MEDIUM) for k in range(10)]
-        rows = stable_existence_report(instances)
-        assert sum(rows["medium"].values()) == 10
