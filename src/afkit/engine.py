@@ -38,18 +38,19 @@ component walked as a small framework, its members an IN argument attacks
 dropped and those an undecided one attacks given a self-attack.  Stable
 extensions leave nothing undecided; as stable semantics is not
 directional, a component with no stable extension under the picks above
-it ends that branch.  Semi-stable (range-maximal), ideal (the
-intersection, shrunk to a fixed point of the defense check) and D3's
-stable part (full range) come from the preferred list.  Semi-stable and
-stage are the stable extensions whenever there are any; otherwise stage
-extensions are the range-maximal maximal conflict-free sets, enumerated by
-Bron-Kerbosch and filtered as bitmasks.  The decision shortcuts walk the
-whole framework and draw at most one answer: DC-CO and DC-PR are one
-admissible search from the grounded extension and the query, DS-PR stops
-at the first preferred extension without the query, DC-ST seeds the
-covering search with the query and DS-ST excludes it; DS-CO is grounded
-membership.  ``dominated`` is the comparison that ``verify`` needs for PR,
-SST and STG; it stops at the first candidate that beats the set.
+it ends that branch.  Ideal (the intersection, shrunk to a fixed point of
+the defense check) and D3's stable part (full range) come from the
+preferred list.  Semi-stable and stage are the stable extensions whenever
+there are any.  Otherwise one filter on bitmasks keeps the candidates
+whose range no other one's strictly contains: the preferred extensions for
+semi-stable, the maximal conflict-free sets that Bron-Kerbosch enumerates
+for stage.  The decision shortcuts walk the whole framework and draw at
+most one answer: DC-CO and DC-PR are one admissible search from the
+grounded extension and the query, DS-PR stops at the first preferred
+extension without the query, DC-ST seeds the covering search with the
+query and DS-ST excludes it; DS-CO is grounded membership.  ``dominated``
+is the comparison that ``verify`` needs for PR, SST and STG; it stops at
+the first candidate that beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -58,13 +59,13 @@ canonical tie-break for SE (lexicographically least sorted member list).
 from __future__ import annotations
 
 from bisect import insort
+from functools import reduce
 from itertools import chain, filterfalse
-from operator import itemgetter
+from operator import and_, itemgetter
 from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (ArgumentationFramework, bits, grounded_extension,
-                   grounded_indices, has_full_range, range_of,
-                   strongly_connected_components)
+                   grounded_indices, strongly_connected_components)
 from .errors import BudgetExceededError
 from .tasks import (AllExtensions, Answer, OneExtension, Semantics, TaskSpec,
                     Triathlon, YesNo, canonical_extensions, sorted_members)
@@ -372,10 +373,10 @@ def _search(af: ArgumentationFramework, budget: _Budget) -> _AdmissibleSearch:
 
 
 def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
-                   ) -> list[tuple[tuple[int, ...], ...]]:
+                   ) -> list[list[int]]:
     """The extensions that ``walk``, ``_AdmissibleSearch.preferred`` or
-    ``.stable``, yields, found SCC by SCC: each is the grounded extension's
-    indices and then its members in each component.
+    ``.stable``, yields, found SCC by SCC: each lists the grounded
+    extension's indices and then its members in each component.
 
     A depth-first walk over the components, ancestors first, picks at each
     an extension of the component conditioned on the picks above it.
@@ -387,7 +388,7 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
     """
     n, targets = len(af), af.target_indices()
     grounded = set(grounded_indices(af.attacker_indices(), targets))
-    decided = grounded.union(*map(targets.__getitem__, grounded))
+    decided = _reach(targets, grounded)
     rest = [i for i in range(n) if i not in decided]
     pos = {i: k for k, i in enumerate(rest)}
     succ = [[pos[y] for y in targets[i] if y in pos] for i in rest]
@@ -416,7 +417,7 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
             later = [[y for y in targets[i] if at.get(y, c) > c] for i in keep]
             found = caches[c][key] = []
             for members in walk(_AdmissibleSearch(atts, tgts, budget)):
-                out = set(members).union(*map(tgts.__getitem__, members))
+                out = _reach(tgts, members)
                 found.append((tuple(keep[j] for j in sorted(members)), [
                     y for j in members for y in later[j]] + [
                     n + y for j, ys in enumerate(later) if j not in out
@@ -433,14 +434,14 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
     tick, leaves, last = budget.tick, [], len(comps) - 1
     chosen, stack = [tuple(sorted(grounded))], []
     if last < 0:
-        return [tuple(chosen)]
+        return [list(grounded)]
     found, k = options(0), 0
     while True:
         if len(stack) == last:
             for members, _ in found:
                 if len(found) > 1:
                     tick()
-                leaves.append((*chosen, members))
+                leaves.append(list(chain(*chosen, members)))
         elif k < len(found):
             if len(found) > 1:
                 tick()
@@ -457,6 +458,11 @@ def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
         k += 1
 
 
+def _reach(targets: Sequence[Sequence[int]], s: Iterable[int]) -> set[int]:
+    """The range of the index set ``s``: its members and what they attack."""
+    return set(s).union(*map(targets.__getitem__, s))
+
+
 def _extensions(sem: Semantics, af: ArgumentationFramework,
                 budget: _Budget) -> list[Extension]:
     """The ``sem``-extensions of ``af``, unordered: the one place a
@@ -464,36 +470,35 @@ def _extensions(sem: Semantics, af: ArgumentationFramework,
     if sem == Semantics.GR:
         return [grounded_extension(af)]
     if sem in (Semantics.ST, Semantics.SST, Semantics.STG):
-        stable = [af.names_of(chain.from_iterable(leaf)) for leaf in
-                  _scc_recursive(af, budget, _AdmissibleSearch.stable)]
+        stable = list(map(af.names_of, _scc_recursive(
+            af, budget, _AdmissibleSearch.stable)))
         # When stable extensions exist they are exactly the semi-stable and
         # the stage ones (Caminada 2006).
         if sem == Semantics.ST or stable:
             return stable
-    if sem == Semantics.STG:
-        candidates = list(_maximal_conflict_free_sets(af, budget))
-        tm = list(map(_mask, af.target_indices()))
-        ranges = [_range(tm, c) for c in candidates]
-        widest = _maximal_masks(set(ranges))
-        return [af.names_of(bits(c)) for c, r in zip(candidates, ranges)
-                if r in widest]
     if sem == Semantics.CO:
         return [af.names_of(m) for m in _search(af, budget).complete()]
-    leaves = _scc_recursive(af, budget, _AdmissibleSearch.preferred)
-    if sem == Semantics.ID:
-        return [_ideal(af, leaves)]
-    preferred = [af.names_of(chain.from_iterable(leaf)) for leaf in leaves]
-    if sem == Semantics.PR:
-        return preferred
-    # Semi-stable extensions are preferred: growing a complete set strictly
-    # grows its range, so a range-maximal complete set is set-maximal too.
-    ranges = [range_of(af, p) for p in preferred]
-    return [p for p, r in zip(preferred, ranges)
-            if not any(r is not o and r < o for o in ranges)]
+    if sem == Semantics.STG:
+        candidates = list(_maximal_conflict_free_sets(af, budget))
+    else:
+        leaves = _scc_recursive(af, budget, _AdmissibleSearch.preferred)
+        if sem == Semantics.ID:
+            return [_ideal(af, leaves)]
+        if sem == Semantics.PR:
+            return list(map(af.names_of, leaves))
+        # Semi-stable extensions are preferred: growing a complete set
+        # strictly grows its range, so a range-maximal complete set is
+        # set-maximal too.
+        candidates = list(map(_mask, leaves))
+    tm = list(map(_mask, af.target_indices()))
+    ranges = [_range(tm, c) for c in candidates]
+    widest = _maximal_masks(set(ranges))
+    return [af.names_of(bits(c)) for c, r in zip(candidates, ranges)
+            if r in widest]
 
 
 def _mask(indices: Iterable[int]) -> int:
-    """The bitmask of ``indices``; only the stage code builds masks."""
+    """The bitmask of ``indices``; only semi-stable and stage build masks."""
     m = 0
     for i in indices:
         m |= 1 << i
@@ -518,16 +523,12 @@ def _maximal_masks(masks: set[int]) -> set[int]:
     holders = [0] * max(masks, default=0).bit_length()
     kept: list[int] = []
     for m in sorted(masks, key=int.bit_count, reverse=True):
-        supersets = (1 << len(kept)) - 1
-        for b in bits(m):
-            supersets &= holders[b]
-            if not supersets:
-                break
-        if supersets:
+        ones = [b for b, c in enumerate(bin(m)[:1:-1]) if c == "1"]
+        if reduce(and_, map(holders.__getitem__, ones), (1 << len(kept)) - 1):
             continue
         position = 1 << len(kept)
         kept.append(m)
-        for b in bits(m):
+        for b in ones:
             holders[b] |= position
     return set(kept)
 
@@ -567,8 +568,7 @@ def _maximal_conflict_free_sets(af: ArgumentationFramework,
 
 def _ideal(af: ArgumentationFramework, leaves: list) -> Extension:
     """The ideal extension, from the preferred leaves of ``_scc_recursive``."""
-    base = set(chain.from_iterable(leaves[0])).intersection(
-        *map(chain.from_iterable, leaves))
+    base = set(leaves[0]).intersection(*leaves)
     attackers, targets = af.attacker_indices(), af.target_indices()
     # The intersection of the preferred extensions is conflict-free, and its
     # admissible subsets are closed under union, so shrinking to the defended
@@ -598,9 +598,10 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     """
     b = _Budget(budget)
     if task.problem == "D3":
-        preferred = _extensions(Semantics.PR, af, b)
-        return Triathlon([grounded_extension(af)], [
-            p for p in preferred if has_full_range(af, p)], preferred)
+        full = {af.names_of(p): len(_reach(af.target_indices(), p)) == len(af)
+                for p in _scc_recursive(af, b, _AdmissibleSearch.preferred)}
+        return Triathlon([grounded_extension(af)],
+                         [p for p, f in full.items() if f], full)
     sem, query = task.semantics, task.query
     q = None if query is None else af.index_of(query)
 
@@ -663,8 +664,8 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
     if sem == Semantics.SST:
         # A complete extension lies inside a preferred one whose range is
         # at least as wide, so the preferred ones are the candidates.
-        r = range_of(af, s)
-        return any(range_of(af, af.names_of(p)) > r
+        r = _reach(af.target_indices(), af.member_indices(s))
+        return any(_reach(af.target_indices(), p) > r
                    for p in _search(af, budget).preferred())
     if sem == Semantics.STG:
         # Ranges of conflict-free sets are dominated by ranges of maximal
@@ -672,12 +673,10 @@ def dominated(sem: Semantics, af: ArgumentationFramework,
         # later sets of the same framework are looked up in its widest.
         global _stage_ranges
         seen, tm, widest = _stage_ranges
-        if seen is not af:
-            tm = list(map(_mask, af.target_indices()))
-        r = _range(tm, _mask(af.member_indices(s)))
         if seen is af:
-            return r not in widest
-        ranges = set()
+            return _range(tm, _mask(af.member_indices(s))) not in widest
+        tm = list(map(_mask, af.target_indices()))
+        r, ranges = _range(tm, _mask(af.member_indices(s))), set()
         for c in _maximal_conflict_free_sets(af, budget):
             rc = _range(tm, c)
             if rc != r and rc & r == r:

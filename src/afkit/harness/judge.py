@@ -51,9 +51,10 @@ class ReferenceBundle:
     """Reference answers for one instance, computed lazily and cached.
 
     This is the one way the harness reaches a solver.  The default backend
-    uses the exhaustive oracle within its size cap and the search engine
-    above it; a budget turns unsolvable instances into "no reference"
-    rather than a hang.
+    uses the exhaustive oracle within its size cap, scanning once per
+    semantics and reading every task's answer off that scan, and the search
+    engine above it, once per task; a budget turns unsolvable instances
+    into "no reference" rather than a hang.
     """
 
     def __init__(self, af: ArgumentationFramework,
@@ -63,12 +64,18 @@ class ReferenceBundle:
         self.budget = budget
         self._solver = solver
         self._cache: Dict[TaskSpec, Optional[Answer]] = {}
+        self._scans: Dict[Semantics, tuple] = {}
+
+    def _scan(self, sem: Semantics) -> tuple:
+        if sem not in self._scans:
+            self._scans[sem] = oracle.oracle_enumerate(sem, self.af)
+        return self._scans[sem]
 
     def _solve(self, task: TaskSpec) -> Answer:
         if self._solver is not None:
             return self._solver(task, self.af)
         try:
-            return oracle.solve(task, self.af)
+            return oracle.answer_from(task, self.af, self._scan)
         except OracleSizeError:
             return engine.solve_optimized(task, self.af, budget=self.budget)
 

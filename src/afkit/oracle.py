@@ -12,7 +12,7 @@ the engine agree with its reference.  It is capped at 20 arguments
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from .core import ArgumentationFramework, bits
 from .errors import OracleSizeError
@@ -158,7 +158,15 @@ def oracle_enumerate(sem: Semantics, af: ArgumentationFramework) -> tuple:
 
 
 def solve(task: TaskSpec, af: ArgumentationFramework) -> Answer:
-    """Reference task solver, backed entirely by exhaustive enumeration.
+    """Reference task solver, backed entirely by exhaustive enumeration."""
+    return answer_from(task, af, lambda sem: oracle_enumerate(sem, af))
+
+
+def answer_from(task: TaskSpec, af: ArgumentationFramework,
+                extensions: Callable[[Semantics], tuple]) -> Answer:
+    """The answer to ``task`` read off ``extensions(sem)``, the canonical
+    extension tuple of ``af`` under ``sem``, so that a caller can scan
+    each semantics once for many tasks.
 
     DC holds iff the query is in some extension, DS iff it is in all of them
     (vacuously yes for ST when no stable extension exists).  SE returns the
@@ -166,22 +174,21 @@ def solve(task: TaskSpec, af: ArgumentationFramework) -> Answer:
     distinguished "no extension" value.
     """
     if task.problem == "D3":
-        return Triathlon(oracle_enumerate(Semantics.GR, af),
-                         oracle_enumerate(Semantics.ST, af),
-                         oracle_enumerate(Semantics.PR, af))
-    extensions = oracle_enumerate(task.semantics, af)
+        return Triathlon(extensions(Semantics.GR), extensions(Semantics.ST),
+                         extensions(Semantics.PR))
+    found = extensions(task.semantics)
     if task.problem == "EE":
-        return AllExtensions(extensions)
+        return AllExtensions(found)
     if task.problem == "SE":
-        if not extensions:
+        if not found:
             return OneExtension(None)
-        return OneExtension(min(extensions, key=sorted_members))
+        return OneExtension(min(found, key=sorted_members))
     query = task.query
     af.index_of(query)  # unknown-argument check
     if task.problem == "DC":
-        return YesNo(any(query in ext for ext in extensions))
+        return YesNo(any(query in ext for ext in found))
     if task.problem == "DS":
-        return YesNo(all(query in ext for ext in extensions))
+        return YesNo(all(query in ext for ext in found))
     raise AssertionError(f"unhandled problem {task.problem}")  # pragma: no cover
 
 
@@ -197,5 +204,5 @@ def admissible_sets(af: ArgumentationFramework) -> tuple:
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
-__all__ = ["SIZE_CAP", "oracle_enumerate", "solve",
+__all__ = ["SIZE_CAP", "oracle_enumerate", "solve", "answer_from",
            "conflict_free_sets", "admissible_sets"]

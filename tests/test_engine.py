@@ -1,4 +1,5 @@
 import ast
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,66 @@ def test_engine_matches_oracle_with_self_attacks():
                 task = parse_task(name)
                 assert engine.solve_optimized(task, af) == \
                     oracle.solve(task, af), (name, sorted(attacks))
+
+
+def _pairs_and_odd_cycle(k):
+    """k disjoint mutual attacks beside an odd 3-cycle: 2^k preferred
+    extensions, all with one range, and no stable extension."""
+    attacks = [(f"a{i}", f"b{i}") for i in range(k)]
+    attacks += [(b, a) for a, b in attacks]
+    attacks += [("c0", "c1"), ("c1", "c2"), ("c2", "c0")]
+    return ArgumentationFramework(sorted({a for a, _ in attacks}), attacks)
+
+
+def test_semi_stable_filters_the_preferred_in_less_than_quadratic_time():
+    af = _pairs_and_odd_cycle(14)
+
+    def fastest(sem):
+        seconds = []
+        for _ in range(3):
+            start = time.perf_counter()
+            found = engine.enumerate_extensions(sem, af)
+            seconds.append(time.perf_counter() - start)
+        return found, min(seconds)
+
+    preferred, pr_s = fastest("PR")
+    semi_stable, sst_s = fastest("SST")
+    assert len(preferred) == 2 ** 14 and semi_stable == preferred
+    # A pairwise pass over 16,384 extensions took more than 25 times as
+    # long as the search that found them.
+    assert sst_s <= 4 * pr_s, (sst_s, pr_s)
+
+
+def _nested_ranges():
+    """{b1} reaches the self-attacker c1 and {a1} does not; a2 and b2 tie;
+    the odd 3-cycle leaves no stable extension."""
+    return ArgumentationFramework(
+        ["a1", "b1", "c1", "a2", "b2", "d0", "d1", "d2"],
+        [("a1", "b1"), ("b1", "a1"), ("b1", "c1"), ("c1", "c1"),
+         ("a2", "b2"), ("b2", "a2"), ("d0", "d1"), ("d1", "d2"),
+         ("d2", "d0")])
+
+
+def test_semi_stable_keeps_only_the_widest_of_nested_ranges():
+    af = _nested_ranges()
+    assert len(oracle.oracle_enumerate("PR", af)) == 4
+    assert as_tuples(engine.enumerate_extensions("SST", af)) == [
+        ("a2", "b1"), ("b1", "b2")]
+    for name in ("EE-SST", "SE-SST", "DC-SST", "DS-SST", "D3"):
+        for query in (af.args if name[:2] in ("DC", "DS") else [None]):
+            task = parse_task(name, query)
+            assert engine.solve_optimized(task, af) == \
+                oracle.solve(task, af), (name, query)
+
+
+def test_semi_stable_dominance_builds_no_per_argument_masks(monkeypatch):
+    def refuse(indices):
+        raise AssertionError("per-argument bitmasks were built")
+
+    monkeypatch.setattr(engine, "_mask", refuse)
+    af = _nested_ranges()
+    assert engine.dominated("SST", af, frozenset({"a1", "a2"}))
+    assert not engine.dominated("SST", af, frozenset({"b1", "a2"}))
 
 
 def test_stable_semantics_is_not_directional():

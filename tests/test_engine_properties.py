@@ -14,6 +14,8 @@ chains of such SCCs, plus a few stray attacks.
   preferred or stable list, which is built SCC by SCC, on chains of SCCs
   behind a part the grounded extension decides.
 * Renaming and reordering the arguments changes no answer of any task.
+* The range-maximality filter that semi-stable and stage share keeps
+  exactly the masks no other mask strictly contains.
 * Every labelling the reference labelling search of ``labelling.py``
   reports satisfies the three labelling conditions.  That search never
   re-checks a leaf: ``assign`` keeps the conditions as an invariant, and
@@ -384,3 +386,32 @@ def test_every_reported_leaf_is_a_labelling(case):
     expected = [e for e in oracle.oracle_enumerate(sem, af)
                 if _fits(af, e, forced)]
     assert sorted(map(sorted, reported)) == sorted(map(sorted, expected))
+
+
+# ---------------------------------------------------------------------------
+# The range-maximality filter
+
+@st.composite
+def mask_families(draw):
+    """Masks drawn freely, a chain of growing masks and an antichain of
+    masks with one bit count, shuffled together with some repeated."""
+    width = draw(st.integers(1, 10))
+    mask = st.integers(0, (1 << width) - 1)
+    family = draw(st.lists(mask, max_size=8))
+    chain = [draw(mask)]
+    for extra in draw(st.lists(mask, max_size=5)):
+        chain.append(chain[-1] | extra)
+    count = draw(st.integers(0, width))
+    family += chain + [m for m in draw(st.lists(mask, max_size=8))
+                       if m.bit_count() == count]
+    if family:
+        family += draw(st.lists(st.sampled_from(family), max_size=4))
+    return draw(st.permutations(family))
+
+
+@SETTINGS
+@given(mask_families())
+def test_range_filter_keeps_the_masks_nothing_strictly_contains(family):
+    naive = {m for m in family
+             if not any(m != o and m & o == m for o in family)}
+    assert engine._maximal_masks(set(family)) == naive

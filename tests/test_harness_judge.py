@@ -211,6 +211,28 @@ class TestIdealClaims:
         assert bundle.is_extension("ID", ["zz"]) is False
 
 
+def test_oracle_scans_once_per_semantics(monkeypatch):
+    # Within the cap, every task's answer is read off one scan of its
+    # semantics, and equals the oracle's own answer.
+    from afkit.generators import ErdosRenyi, gen_erdos
+    from afkit.rng import SeededRng
+
+    af = gen_erdos(ErdosRenyi(12, 0.15), SeededRng(7))
+    scans = []
+    real = oracle.oracle_enumerate
+    monkeypatch.setattr(oracle, "oracle_enumerate",
+                        lambda sem, af: scans.append(sem) or real(sem, af))
+    bundle = ReferenceBundle(af)
+    queries = [parse_task("DS-PR", a) for a in af.args[:5]]
+    answers = [bundle.answer_for(task) for task in queries]
+    assert scans == ["PR"]
+    tasks = [parse_task(name) for name in ("EE-PR", "SE-PR", "D3")]
+    answers += [bundle.answer_for(task) for task in tasks]
+    assert scans == ["PR", "GR", "ST"]
+    monkeypatch.undo()
+    assert answers == [oracle.solve(task, af) for task in queries + tasks]
+
+
 def _imported_modules(path):
     """Every module a harness file imports, nested imports included, with
     relative imports resolved against ``afkit.harness``."""
