@@ -402,8 +402,9 @@ def mask_families(draw):
     for extra in draw(st.lists(mask, max_size=5)):
         chain.append(chain[-1] | extra)
     count = draw(st.integers(0, width))
-    family += chain + [m for m in draw(st.lists(mask, max_size=8))
-                       if m.bit_count() == count]
+    one_count = st.sets(st.integers(0, width - 1), min_size=count,
+                        max_size=count).map(lambda bs: sum(1 << b for b in bs))
+    family += chain + draw(st.lists(one_count, max_size=6))
     if family:
         family += draw(st.lists(st.sampled_from(family), max_size=4))
     return draw(st.permutations(family))
