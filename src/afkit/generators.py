@@ -548,6 +548,15 @@ def generate(cfg: GeneratorConfig, rng: SeededRng,
     raise InvalidConfigError(f"unknown generator config {cfg!r}")
 
 
+def _number(kind: type, key: str, value: str):
+    try:
+        return kind(value)
+    except ValueError:
+        raise InvalidConfigError(
+            f"{key} must be {'a number' if kind is float else 'an integer'}, "
+            f"got {value!r}") from None
+
+
 def parse_batch_line(line: str) -> Tuple[GeneratorConfig, int, Optional[str]]:
     """One batch line: ``<kind> key=value ...``.
 
@@ -556,6 +565,8 @@ def parse_batch_line(line: str) -> Tuple[GeneratorConfig, int, Optional[str]]:
     Returns (config, count, graph path or None).
     """
     parts = line.split()
+    if not parts:
+        raise InvalidConfigError("empty generator line")
     kind = parts[0].lower()
     if kind not in CONFIG_KINDS:
         raise InvalidConfigError(f"unknown generator kind {kind!r}")
@@ -568,7 +579,7 @@ def parse_batch_line(line: str) -> Tuple[GeneratorConfig, int, Optional[str]]:
             raise InvalidConfigError(f"expected key=value, got {part!r}")
         key, _, value = part.partition("=")
         if key == "count":
-            count = int(value)
+            count = _number(int, key, value)
             if count < 1:
                 raise InvalidConfigError("count must be positive")
         elif key == "graph":
@@ -578,7 +589,7 @@ def parse_batch_line(line: str) -> Tuple[GeneratorConfig, int, Optional[str]]:
             if key not in field_types:
                 raise InvalidConfigError(f"{kind} has no parameter {key!r}")
             is_float = field_types[key] in (float, "float")
-            kwargs[key] = float(value) if is_float else int(value)
+            kwargs[key] = _number(float if is_float else int, key, value)
     try:
         cfg = cls(**kwargs)
     except TypeError as exc:
@@ -594,7 +605,7 @@ def parse_batch_file(text: str) -> List[Tuple[GeneratorConfig, int, Optional[str
             continue
         try:
             out.append(parse_batch_line(line))
-        except (InvalidConfigError, ValueError) as exc:
+        except InvalidConfigError as exc:
             raise InvalidConfigError(f"line {lineno}: {exc}") from None
     return out
 

@@ -1,18 +1,23 @@
 """Exhaustive ground-truth enumeration over all argument subsets.
 
-This is the reference backend: every semantics is evaluated by scanning the
-full power set of arguments and applying the defining conditions directly.
-It is exact and independent of the optimized search engine: it takes only
-the framework type and ``bits`` from ``core``, builds per-argument attacker
-and target bitmasks from the index adjacency lists once per call, and keeps
-its subset predicates to itself, so that a fault in a helper cannot make
-the engine agree with its reference.  It is capped at 20 arguments
+This is the reference backend.  ``oracle_table`` makes one pass over the
+full power set of arguments, testing conflict-freeness once per subset and
+the other defining conditions directly on the conflict-free ones.  It keeps
+the complete and the maximal conflict-free sets and reads all seven
+semantics off them: one scan per framework, whatever its tasks.  It is
+exact and independent of the optimized search engine: it takes only the
+framework type and ``bits`` from ``core``, builds per-argument attacker and
+target bitmasks from the index adjacency lists once per scan, and keeps its
+subset predicates to itself, so that a fault in a helper cannot make the
+engine agree with its reference.  It is capped at 20 arguments
 (``SIZE_CAP``) so a mistaken call cannot scan 2^1000 subsets.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable, Iterator, Mapping
+from functools import reduce
+from operator import and_, or_
 
 from .core import ArgumentationFramework, bits
 from .errors import OracleSizeError
@@ -54,119 +59,111 @@ def _conflict_free(am: list[int], tm: list[int], mask: int) -> bool:
     return True
 
 
-def _admissible(am: list[int], tm: list[int], mask: int) -> bool:
-    if not _conflict_free(am, tm, mask):
-        return False
+def _defended(am: list[int], tm: list[int], mask: int) -> int:
+    """The mask of the arguments whose every attacker ``mask`` attacks."""
     attacked = _attacked(tm, mask)
-    for i in bits(mask):
-        if am[i] & ~attacked:
+    out = 0
+    for i, a in enumerate(am):
+        if a & ~attacked == 0:
+            out |= 1 << i
+    return out
+
+
+# The three predicates below take a conflict-free ``mask``.
+
+def _maximal_conflict_free(am: list[int], tm: list[int], mask: int) -> bool:
+    # Maximal iff no outside argument can be added conflict-free.
+    for i in range(len(am)):
+        if (not (mask >> i) & 1 and tm[i] & (mask | 1 << i) == 0
+                and am[i] & mask == 0):
             return False
     return True
+
+
+def _admissible(am: list[int], tm: list[int], mask: int) -> bool:
+    return mask & ~_defended(am, tm, mask) == 0
 
 
 def _complete(am: list[int], tm: list[int], mask: int) -> bool:
-    if not _admissible(am, tm, mask):
-        return False
-    attacked = _attacked(tm, mask)
-    for i in range(len(am)):
-        if not (mask >> i) & 1 and am[i] & ~attacked == 0:
-            return False
-    return True
+    return _defended(am, tm, mask) == mask
 
 
-def _scan(am: list[int], tm: list[int], predicate) -> list[int]:
-    return [m for m in range(1 << len(am)) if predicate(am, tm, m)]
+def _conflict_free_masks(am: list[int], tm: list[int]) -> Iterator[int]:
+    return (m for m in range(1 << len(am)) if _conflict_free(am, tm, m))
 
 
-def _range_maximal(candidates: list[int], keys: list[int]) -> list[int]:
-    """The candidates whose key has no proper superset among ``keys``."""
+def _maximal(candidates: list[int], keys: list[int]) -> list[int]:
+    """The candidates whose key no other key strictly contains.  Keys come
+    widest first, so each is compared with the kept ones only."""
+    kept: list[int] = []
     out = []
-    for i, m in enumerate(candidates):
-        r = keys[i]
-        if not any(r != o and r & o == r for o in keys):
+    for r, m in sorted(zip(keys, candidates), key=lambda p: p[0].bit_count(),
+                       reverse=True):
+        if not any(r != o and r & o == r for o in kept):
+            kept.append(r)
             out.append(m)
     return out
 
 
-def _maximal_conflict_free(am: list[int], tm: list[int]) -> list[int]:
-    n = len(am)
-    out = []
-    for m in range(1 << n):
-        if not _conflict_free(am, tm, m):
-            continue
-        # Maximal iff no outside argument can be added conflict-free.
-        maximal = True
-        for i in range(n):
-            if (m >> i) & 1:
-                continue
-            if tm[i] & (m | (1 << i)) == 0 and am[i] & m == 0:
-                maximal = False
-                break
-        if maximal:
-            out.append(m)
-    return out
+def oracle_table(af: ArgumentationFramework) -> dict[Semantics, tuple]:
+    """The exact extension set of ``af`` under every semantics, in canonical
+    order, from one pass over its subsets."""
+    am, tm = _masks(af)
+    full = (1 << len(af)) - 1
+    completes, maximal_cf = [], []
+    for m in _conflict_free_masks(am, tm):
+        if _maximal_conflict_free(am, tm, m):
+            maximal_cf.append(m)
+        if _complete(am, tm, m):
+            completes.append(m)
+
+    preferred = _maximal(completes, completes)
+    # The scan ascends and a subset's mask is the smaller, so the least
+    # complete set, inside every other one, comes first.
+    grounded = completes[0]
+    if any(m & grounded != grounded for m in completes):
+        raise AssertionError("grounded extension must be unique")
+    base = reduce(and_, preferred, full)
+    # Admissible subsets of the preferred intersection are conflict-free
+    # and closed under union, so their union is the unique maximal one; it
+    # is complete, so it is also the union of the complete sets inside.
+    ideal = reduce(or_, (m for m in completes if m & ~base == 0), 0)
+    if not (_conflict_free(am, tm, ideal) and _admissible(am, tm, ideal)):
+        raise AssertionError("ideal candidate must be admissible")
+    ranges = [m | _attacked(tm, m) for m in completes]
+    # Any conflict-free set extends to a maximal one with a range at least
+    # as wide, and growing a conflict-free set strictly grows its range, so
+    # the range-maximal conflict-free sets are the range-maximal ones among
+    # the maximal conflict-free sets.
+    stage = _maximal(maximal_cf, [m | _attacked(tm, m) for m in maximal_cf])
+    masks = {
+        Semantics.CO: completes,
+        Semantics.PR: preferred,
+        Semantics.ST: [m for m, r in zip(completes, ranges) if r == full],
+        Semantics.GR: [grounded],
+        Semantics.SST: _maximal(completes, ranges),
+        Semantics.STG: stage,
+        Semantics.ID: [ideal],
+    }
+    return {sem: canonical_extensions(af.names_of(bits(m)) for m in found)
+            for sem, found in masks.items()}
 
 
 def oracle_enumerate(sem: Semantics, af: ArgumentationFramework) -> tuple:
     """Exact extension set of ``af`` under ``sem``, in canonical order."""
-    am, tm = _masks(af)
-    sem = Semantics(sem)
-    full = (1 << len(af)) - 1
-
-    if sem == Semantics.STG:
-        # Any conflict-free set extends to a maximal one whose range contains
-        # its own, so range-maximality over maximal conflict-free sets decides
-        # range-maximality over all conflict-free sets; and a range-maximal
-        # set is itself maximal (growing a conflict-free set strictly grows
-        # its range).  The scan below still visits every subset.
-        candidates = _maximal_conflict_free(am, tm)
-        ranges = [m | _attacked(tm, m) for m in candidates]
-        masks = _range_maximal(candidates, ranges)
-        return canonical_extensions(af.names_of(bits(m)) for m in masks)
-    completes = _scan(am, tm, _complete)
-    if sem == Semantics.CO:
-        masks = completes
-    elif sem == Semantics.PR:
-        masks = _range_maximal(completes, completes)
-    elif sem == Semantics.ST:
-        masks = [m for m in completes if m | _attacked(tm, m) == full]
-    elif sem == Semantics.GR:
-        masks = [m for m in completes
-                 if not any(m != o and m & o == o for o in completes)]
-        if len(masks) != 1:
-            raise AssertionError("grounded extension must be unique")
-    elif sem == Semantics.SST:
-        ranges = [m | _attacked(tm, m) for m in completes]
-        masks = _range_maximal(completes, ranges)
-    elif sem == Semantics.ID:
-        base = full
-        for m in _range_maximal(completes, completes):
-            base &= m
-        # Admissible subsets of the preferred intersection are conflict-free
-        # and closed under union, so their union is the unique maximal one.
-        union = 0
-        for m in range(1 << len(af)):
-            if m & ~base == 0 and _admissible(am, tm, m):
-                union |= m
-        if not _admissible(am, tm, union):
-            raise AssertionError("ideal candidate must be admissible")
-        masks = [union]
-    else:  # pragma: no cover
-        raise ValueError(f"unhandled semantics {sem}")
-
-    return canonical_extensions(af.names_of(bits(m)) for m in masks)
+    return oracle_table(af)[Semantics(sem)]
 
 
 def solve(task: TaskSpec, af: ArgumentationFramework) -> Answer:
     """Reference task solver, backed entirely by exhaustive enumeration."""
-    return answer_from(task, af, lambda sem: oracle_enumerate(sem, af))
+    return answer_from(task, af, oracle_table(af))
 
 
 def answer_from(task: TaskSpec, af: ArgumentationFramework,
-                extensions: Callable[[Semantics], tuple]) -> Answer:
-    """The answer to ``task`` read off ``extensions(sem)``, the canonical
-    extension tuple of ``af`` under ``sem``, so that a caller can scan
-    each semantics once for many tasks.
+                table: Mapping[Semantics, tuple]) -> Answer:
+    """The answer to ``task`` read off ``table``, the canonical extension
+    tuples of ``af`` per semantics that ``oracle_table`` returns, so that a
+    caller can scan ``af`` once for many tasks.
 
     DC holds iff the query is in some extension, DS iff it is in all of them
     (vacuously yes for ST when no stable extension exists).  SE returns the
@@ -174,9 +171,9 @@ def answer_from(task: TaskSpec, af: ArgumentationFramework,
     distinguished "no extension" value.
     """
     if task.problem == "D3":
-        return Triathlon(extensions(Semantics.GR), extensions(Semantics.ST),
-                         extensions(Semantics.PR))
-    found = extensions(task.semantics)
+        return Triathlon(table[Semantics.GR], table[Semantics.ST],
+                         table[Semantics.PR])
+    found = table[task.semantics]
     if task.problem == "EE":
         return AllExtensions(found)
     if task.problem == "SE":
@@ -194,15 +191,18 @@ def answer_from(task: TaskSpec, af: ArgumentationFramework,
 
 def conflict_free_sets(af: ArgumentationFramework) -> tuple:
     """All conflict-free sets, in canonical order (exhaustive scan)."""
-    masks = _scan(*_masks(af), _conflict_free)
+    am, tm = _masks(af)
+    masks = _conflict_free_masks(am, tm)
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
 def admissible_sets(af: ArgumentationFramework) -> tuple:
     """All admissible sets, in canonical order (exhaustive scan)."""
-    masks = _scan(*_masks(af), _admissible)
+    am, tm = _masks(af)
+    masks = [m for m in _conflict_free_masks(am, tm)
+             if _admissible(am, tm, m)]
     return canonical_extensions(af.names_of(bits(m)) for m in masks)
 
 
-__all__ = ["SIZE_CAP", "oracle_enumerate", "solve", "answer_from",
-           "conflict_free_sets", "admissible_sets"]
+__all__ = ["SIZE_CAP", "oracle_table", "oracle_enumerate", "solve",
+           "answer_from", "conflict_free_sets", "admissible_sets"]

@@ -210,6 +210,20 @@ class TestGenerate:
         assert code == 0
         assert len(list(out_dir.glob("*.apx"))) == 2
 
+    @pytest.mark.parametrize("spec, message", [
+        ("", "empty generator line"),
+        ("erdos n=abc prob_attacks=0.5", "n must be an integer, got 'abc'"),
+        ("erdos n=5 prob_attacks=0.5 count=x",
+         "count must be an integer, got 'x'"),
+    ], ids=["empty", "bad-n", "bad-count"])
+    def test_malformed_spec_is_an_error_not_a_traceback(self, capsys,
+                                                        tmp_path, spec,
+                                                        message):
+        code, _, err = run_cli(capsys, "generate", "--out",
+                               str(tmp_path / "inst"), "--spec", spec)
+        assert code == 1
+        assert err == f"afkit: {message}\n"
+
     def test_tgf_output_loads(self, capsys, tmp_path):
         out_dir = tmp_path / "inst"
         run_cli(capsys, "generate", "--out", str(out_dir), "--format", "tgf",

@@ -211,26 +211,24 @@ class TestIdealClaims:
         assert bundle.is_extension("ID", ["zz"]) is False
 
 
-def test_oracle_scans_once_per_semantics(monkeypatch):
-    # Within the cap, every task's answer is read off one scan of its
-    # semantics, and equals the oracle's own answer.
+def test_oracle_scans_once_per_framework(monkeypatch):
+    # Within the cap, every task's answer is read off one oracle table of
+    # the framework, and equals the oracle's own answer.
     from afkit.generators import ErdosRenyi, gen_erdos
     from afkit.rng import SeededRng
 
     af = gen_erdos(ErdosRenyi(12, 0.15), SeededRng(7))
-    scans = []
-    real = oracle.oracle_enumerate
-    monkeypatch.setattr(oracle, "oracle_enumerate",
-                        lambda sem, af: scans.append(sem) or real(sem, af))
+    tables = []
+    real = oracle.oracle_table
+    monkeypatch.setattr(oracle, "oracle_table",
+                        lambda af: tables.append(af) or real(af))
     bundle = ReferenceBundle(af)
-    queries = [parse_task("DS-PR", a) for a in af.args[:5]]
-    answers = [bundle.answer_for(task) for task in queries]
-    assert scans == ["PR"]
-    tasks = [parse_task(name) for name in ("EE-PR", "SE-PR", "D3")]
-    answers += [bundle.answer_for(task) for task in tasks]
-    assert scans == ["PR", "GR", "ST"]
+    tasks = [parse_task("DS-PR", a) for a in af.args[:5]]
+    tasks += [parse_task(name) for name in ("EE-PR", "SE-PR", "D3", "SE-ID")]
+    answers = [bundle.answer_for(task) for task in tasks]
+    assert tables == [af]
     monkeypatch.undo()
-    assert answers == [oracle.solve(task, af) for task in queries + tasks]
+    assert answers == [oracle.solve(task, af) for task in tasks]
 
 
 def _imported_modules(path):

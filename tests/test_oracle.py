@@ -2,6 +2,8 @@ import ast
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from afkit import core, oracle
 from afkit.core import ArgumentationFramework
@@ -100,6 +102,34 @@ def test_stage_matches_quadratic_definition_on_small_inputs():
         naive = [c for c in cf
                  if not any(ranges[o] > ranges[c] for o in cf)]
         assert as_tuples(oracle_enumerate(Semantics.STG, af)) == as_tuples(naive)
+
+
+@st.composite
+def small_afs(draw, max_args=7):
+    """Any framework of at most ``max_args`` arguments, self-attacks
+    included."""
+    names = [f"x{i}" for i in range(draw(st.integers(0, max_args)))]
+    if not names:
+        return ArgumentationFramework([])
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    return ArgumentationFramework(names, draw(st.lists(pair, max_size=12)))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(small_afs())
+def test_derived_semantics_match_their_definitions(af):
+    # The table derives stage from the maximal conflict-free sets, grounded
+    # from the complete sets and ideal from the subsets of the preferred
+    # intersection; each is checked here against its plain definition.
+    table = oracle.oracle_table(af)
+    cf = conflict_free_sets(af)
+    ranges = {c: core.range_of(af, c) for c in cf}
+    stage = [c for c in cf if not any(ranges[o] > ranges[c] for o in cf)]
+    assert as_tuples(table[Semantics.STG]) == as_tuples(stage)
+    assert table[Semantics.GR] == (core.grounded_extension(af),)
+    inter = frozenset(af.args).intersection(*table[Semantics.PR])
+    ideal = frozenset().union(*(a for a in admissible_sets(af) if a <= inter))
+    assert table[Semantics.ID] == (ideal,)
 
 
 def test_oracle_takes_only_the_framework_and_bits_from_core():
