@@ -26,31 +26,32 @@ arguments are branched on before it:
 
 Every search is a generator: it yields each answer as it reaches it, and
 the consumer decides when to stop by how much it draws.  Enumeration draws
-everything, a decision draws at most one answer.  The search builds no
-per-argument bitmasks.
+everything, a decision draws at most one answer.  Every search runs on the
+grounded reduct, the u arguments the grounded extension leaves undecided,
+and keeps its sets as u-bit masks (bit-parallel, as in San Segundo et al.,
+Computers & OR 2011): a trail entry is a few u-bit ints per step, and the
+arguments the grounded extension decides cost nothing past the reduct.
 
 ``_extensions`` is the one place where a semantics meets its algorithm.
 Grounded is the fixed point itself; complete comes from the closing
 search.  Preferred and stable semantics are SCC-recursive (Baroni,
 Giacomin & Guida, AIJ 2005): one driver builds both lists component by
-component over what the grounded extension leaves undecided, each
-component walked as a small framework, its members an IN argument attacks
-dropped and those an undecided one attacks given a self-attack.  Stable
-extensions leave nothing undecided; as stable semantics is not
-directional, a component with no stable extension under the picks above
-it ends that branch.  Ideal (the intersection, shrunk to a fixed point of
-the defense check) and D3's stable part (full range) come from the
-preferred list.  Semi-stable and stage are the stable extensions whenever
-there are any.  Otherwise one filter on bitmasks keeps the candidates
-whose range no other one's strictly contains: the preferred extensions for
-semi-stable, the maximal conflict-free sets that Bron-Kerbosch enumerates
-for stage.  The decision shortcuts walk the whole framework and draw at
-most one answer: DC-CO and DC-PR are one admissible search from the
-grounded extension and the query, DS-PR stops at the first preferred
-extension without the query, DC-ST seeds the covering search with the
-query and DS-ST excludes it; DS-CO is grounded membership.  ``dominated``
-is the comparison that ``verify`` needs for PR, SST and STG; it stops at
-the first candidate that beats the set.
+component over the reduct, each component walked as a small framework, its
+members an IN argument attacks dropped and those an undecided one attacks
+given a self-attack.  As stable semantics is not directional, a component
+with no stable extension under the picks above it ends that branch.  Ideal
+(the intersection, shrunk to a fixed point of the defense check) and D3's
+stable part (full range) come from the preferred list.  Semi-stable and
+stage are the stable extensions whenever there are any.  Otherwise one
+filter keeps the candidates whose range no other one's strictly contains:
+the preferred extensions for semi-stable, the maximal conflict-free sets,
+masks over the whole framework, that Bron-Kerbosch enumerates for stage.
+The decision shortcuts walk the whole reduct and draw at most one answer:
+DC-CO and DC-PR are one admissible search seeded with the query, DS-PR
+stops at the first preferred extension without it, DC-ST seeds the
+covering search with it and DS-ST excludes it; DS-CO is grounded
+membership.  ``dominated`` is the comparison that ``verify`` needs for PR,
+SST and STG; it stops at the first candidate that beats the set.
 
 Answers match the enumeration-backed reference solver exactly, including the
 canonical tie-break for SE (lexicographically least sorted member list).
@@ -59,9 +60,9 @@ canonical tie-break for SE (lexicographically least sorted member list).
 from __future__ import annotations
 
 from bisect import insort
-from functools import reduce
-from itertools import chain, filterfalse
-from operator import and_, itemgetter
+from functools import partial, reduce
+from itertools import chain
+from operator import and_
 from collections.abc import Iterable, Iterator, Sequence
 
 from .core import (ArgumentationFramework, bits, grounded_extension,
@@ -89,180 +90,186 @@ class _Budget:
             raise BudgetExceededError("node-expansion budget exhausted")
 
 
+def _reduct(attackers: Sequence[Sequence[int]],
+            targets: Sequence[Sequence[int]]) -> tuple:
+    """The grounded reduct of the framework whose argument i has the
+    attackers ``attackers[i]`` and the targets ``targets[i]``: the grounded
+    indices; ``decided``, mapping each argument the grounded extension
+    decides to True (IN) or False (OUT); the undecided ``rest`` in index
+    order; and ``succ[k]`` and ``pred[k]``, the positions in ``rest`` of the
+    targets and the attackers of ``rest[k]``.  An undecided argument attacks nothing IN, and its OUT
+    attackers are attacked by the grounded extension, so undecided sets are
+    admissible, complete or stable beside it exactly when in the reduct."""
+    grounded = grounded_indices(attackers, targets)
+    decided = dict.fromkeys(chain.from_iterable(
+        map(targets.__getitem__, grounded)), False)
+    decided.update(dict.fromkeys(grounded, True))
+    rest = [i for i in range(len(targets)) if i not in decided]
+    pos = {i: k for k, i in enumerate(rest)}
+    succ = [[pos[y] for y in targets[i] if y in pos] for i in rest]
+    pred = [[pos[z] for z in attackers[i] if z in pos] for i in rest]
+    return grounded, decided, rest, succ, pred
+
+
+def _indices(reduct: tuple, m: int) -> list[int]:
+    """The framework indices of the grounded extension and of the undecided
+    arguments at the set bits of the reduct mask ``m``."""
+    grounded, _, rest, _, _ = reduct
+    return [*grounded, *map(rest.__getitem__, bits(m))]
+
+
 class _AdmissibleSearch:
     """Goal-directed search over the conflict-free supersets of the
-    grounded extension of the framework whose argument i has the attackers
-    ``attackers[i]`` and the targets ``targets[i]``.
+    grounded extension, on the grounded ``reduct`` of ``_reduct``.  S is the
+    grounded extension and a set of undecided arguments; every mask has one
+    bit per undecided argument, at its position in ``rest``.
 
-    The set S under construction is conflict-free.  Per argument it keeps
-    the number of members it attacks and the number that attack it, so an
-    argument is *uncovered*, outside S and not attacked by S, exactly when
-    it is no member and the second count is zero, and *open*, an uncovered
-    attacker of S, when the first count is positive too.  The open
-    arguments are kept as a set, and so are the uncovered ones once a
-    covering walk starts.  ``blocked`` counts the reasons an argument
-    cannot join S: it is a member, attacks or is attacked by a member,
-    attacks itself, or is excluded.  Joins and exclusions go on one trail
-    (an exclusion as ``~i``) and are undone back to a mark.
-    """
+    The state is five masks: S, what S attacks, what attacks S, the
+    excluded arguments (self-attackers from the start), and the avoided
+    sets S escapes (below).  An argument is *blocked*, unable to join S, when
+    it is in one of the first four, *uncovered* when it is neither in S nor
+    attacked by S, and *open* when it is uncovered and attacks S.  ``join``
+    and ``bar`` (exclude) push the state they replace onto the trail, and
+    ``undo_to`` restores a trail mark in one step: for u undecided
+    arguments, 2u adjacency masks and five u-bit ints per step.  ``seed``,
+    ``exclude``, ``avoid``, ``member`` and the walks' lists speak framework
+    indices."""
 
-    def __init__(self, attackers: Sequence[Sequence[int]],
-                 targets: Sequence[Sequence[int]], budget: _Budget):
-        n = self.n = len(targets)
-        self.attackers, self.targets = attackers, targets
-        self.tgt_in = [0] * n     # members each argument attacks
-        self.att_in = [0] * n     # members attacking each argument
-        self.blocked = [int(i in ts) for i, ts in enumerate(self.targets)]
-        self.member = bytearray(n)
-        self.open: set[int] = set()
-        self.uncovered: set[int] | None = None
-        self.trail: list[int] = []
+    def __init__(self, reduct: tuple, budget: _Budget):
+        self.reduct = reduct
+        _, _, rest, succ, pred = reduct
+        self.pos = {i: j for j, i in enumerate(rest)}
+        self.targets = list(map(_mask, succ))
+        self.attackers = list(map(_mask, pred))
+        self.universe = (1 << len(rest)) - 1
+        loops = _mask(j for j, ys in enumerate(succ) if j in ys)
+        self.state = (0, 0, 0, loops, 0)
+        self.trail: list[tuple] = []
         self.budget = budget
-        # The sets a result must not lie inside.  Bit k of ``missing[i]`` is
-        # set when argument i is outside the k-th of them, and ``escaped``
-        # holds, per member on the trail, the OR over the members so far:
-        # S lies inside the k-th set iff bit k of ``escaped[-1]`` is clear.
-        self.avoided: list[set[int]] = []
-        self.missing = [0] * n
-        self.escaped = [0]
-        for i in grounded_indices(attackers, targets):
-            self.join(i)
+        # The sets a result must not lie inside, as masks.  Bit k of
+        # ``missing[j]`` is set when argument j is outside the k-th of them,
+        # and the state's last mask is the OR over the members of S: S lies
+        # inside the k-th set iff its bit k is clear.
+        self.avoided: list[int] = []
+        self.missing = [0] * len(rest)
 
-    def join(self, i: int) -> None:
-        """Add the unblocked argument ``i`` to S."""
-        att_in, tgt_in, blocked, open_, uncovered = (
-            self.att_in, self.tgt_in, self.blocked, self.open, self.uncovered)
-        self.member[i] = 1
-        blocked[i] += 1
-        self.trail.append(i)
-        self.escaped.append(self.escaped[-1] | self.missing[i])
-        ts = self.targets[i]
-        if uncovered is not None:
-            uncovered.discard(i)
-            uncovered.difference_update(ts)
-        for y in ts:
-            att_in[y] += 1
-            blocked[y] += 1
-            if att_in[y] == 1 and tgt_in[y]:
-                open_.discard(y)
-        for z in self.attackers[i]:
-            tgt_in[z] += 1
-            blocked[z] += 1
-            if tgt_in[z] == 1 and not att_in[z]:
-                open_.add(z)
+    def join(self, j: int) -> None:
+        """Add the unblocked argument at position ``j`` to S."""
+        s, hit, hits, out, escaped = state = self.state
+        self.trail.append(state)
+        self.state = (s | 1 << j, hit | self.targets[j],
+                      hits | self.attackers[j], out, escaped | self.missing[j])
 
-    def exclude(self, i: int) -> None:
-        self.blocked[i] += 1
-        self.trail.append(~i)
+    def bar(self, j: int) -> None:
+        """Exclude the argument at position ``j`` from S."""
+        s, hit, hits, out, escaped = state = self.state
+        self.trail.append(state)
+        self.state = (s, hit, hits, out | 1 << j, escaped)
 
     def undo_to(self, mark: int) -> None:
-        att_in, tgt_in, blocked, open_, uncovered, trail = (
-            self.att_in, self.tgt_in, self.blocked, self.open, self.uncovered,
-            self.trail)
-        while len(trail) > mark:
-            i = trail.pop()
-            if i < 0:
-                blocked[~i] -= 1
-                continue
-            for z in self.attackers[i]:
-                tgt_in[z] -= 1
-                blocked[z] -= 1
-                if not tgt_in[z] and not att_in[z]:
-                    open_.discard(z)
-            ts = self.targets[i]
-            for y in ts:
-                att_in[y] -= 1
-                blocked[y] -= 1
-                if not att_in[y] and tgt_in[y]:
-                    open_.add(y)
-            if uncovered is not None:
-                uncovered.update(filterfalse(att_in.__getitem__, ts))
-                uncovered.add(i)
-            self.member[i] = 0
-            blocked[i] -= 1
-            self.escaped.pop()
+        if len(self.trail) > mark:
+            self.state = self.trail[mark]
+            del self.trail[mark:]
 
     def members(self) -> list[int]:
-        return [i for i in self.trail if i >= 0]
+        return _indices(self.reduct, self.state[0])
+
+    @property
+    def member(self) -> bytearray:
+        """Per framework index, 1 for a member of S."""
+        flags = bytearray(len(self.reduct[1]) + len(self.pos))
+        for i in self.members():
+            flags[i] = 1
+        return flags
 
     def seed(self, indices: Iterable[int]) -> bool:
-        """Add ``indices`` to S; False, with S part-grown, when one cannot
-        join."""
+        """Add the framework arguments ``indices`` to S; False, with S
+        part-grown, when one cannot join."""
         for i in indices:
-            if self.member[i]:
-                continue
-            if self.blocked[i]:
-                return False
-            self.join(i)
+            j = self.pos.get(i)
+            if j is None:
+                if not self.reduct[1][i]:
+                    return False
+            elif not self.state[0] >> j & 1:
+                if (self.state[1] | self.state[2] | self.state[3]) >> j & 1:
+                    return False
+                self.join(j)
         return True
 
+    def exclude(self, i: int) -> None:
+        """Keep the framework argument ``i`` out of S (a decided one is)."""
+        j = self.pos.get(i)
+        if j is not None:
+            self.bar(j)
+
     def avoid(self, indices: Iterable[int]) -> None:
-        """From now on, accept no set inside ``indices``, which must hold
-        every current member."""
-        inside = set(indices)
+        """From now on, accept no set inside the framework arguments
+        ``indices``, which must hold every current member."""
+        pos = self.pos
+        self._avoid(_mask(pos[i] for i in indices if i in pos))
+
+    def _avoid(self, inside: int) -> None:
         bit = 1 << len(self.avoided)
         self.avoided.append(inside)
         missing = self.missing
-        for i in range(self.n):
-            if i not in inside:
-                missing[i] |= bit
+        for j in bits(self.universe & ~inside):
+            missing[j] |= bit
 
-    def _choices(self, pool: set[int]) -> list[int] | None:
-        """The arguments to branch on: for the argument b of ``pool`` (the
-        open or the uncovered ones) with the fewest candidates, the lowest
-        index on a tie, the unblocked ones among b and its attackers; else
-        the unblocked arguments outside the first avoided set holding S.
-        None when ``pool`` is empty and S is inside no avoided set; an
-        empty list when S cannot be completed."""
-        blocked, attackers = self.blocked, self.attackers
-        best: list[int] | None = None
-        best_b = -1
-        for b in pool:
-            cands = [c for c in attackers[b] if not blocked[c]]
-            if not blocked[b]:
-                cands.append(b)
-            if not cands:
-                return cands
-            if (best is None or len(cands) < len(best)
-                    or (len(cands) == len(best) and b < best_b)):
-                best, best_b = cands, b
-        if best is not None:
-            return best
-        escaped = self.escaped[-1]
+    def _choices(self, covering: bool) -> list[int] | None:
+        """The arguments to branch on: for the open (``covering``: uncovered)
+        b with the fewest candidates, the lowest on a tie, the unblocked ones
+        among b's attackers, in order, then b; else the unblocked arguments
+        outside the first avoided set holding S.  None when there is no such
+        b and S is inside no avoided set; [] when S cannot be completed."""
+        s, hit, hits, out, escaped = self.state
+        free = self.universe & ~(s | hit | hits | out)
+        pool = self.universe & ~(s | hit) if covering else hits & ~hit
+        attackers = self.attackers
+        best, fewest = -1, len(attackers) + 2
+        for b in bits(pool):
+            c = ((attackers[b] | 1 << b) & free).bit_count()
+            if c < fewest:
+                if not c:
+                    return []
+                best, fewest = b, c
+        if best >= 0:
+            choices = list(bits(attackers[best] & free))
+            if free >> best & 1:
+                choices.append(best)
+            return choices
         k = (~escaped & (escaped + 1)).bit_length() - 1
         if k == len(self.avoided):
             return None
-        inside = self.avoided[k]
-        return [x for x in range(self.n) if not blocked[x] and x not in inside]
+        return list(bits(free & ~self.avoided[k]))
 
-    def _walk(self, pool: set[int], closing: bool = False) -> Iterator[None]:
-        """Walk S's supersets depth first, suspended at each one accepted.
+    def _walk(self, covering: bool = False,
+              closing: bool = False) -> Iterator[int]:
+        """Walk S's supersets depth first, suspended at each one accepted,
+        which it yields as a mask.
 
         Every admissible T holding S attacks each open argument b, so it
         holds an unblocked attacker of b; a stable T holds b or one of its
-        attackers for each uncovered b; and T escapes an avoided set
-        holding S through an unblocked argument outside it.  Branch k takes
-        the k-th such argument and excludes those before it, so the
-        branches are disjoint and together cover every T.  Each branch
-        tried ticks the budget.  S is accepted when ``_choices(pool)`` is
-        None.  A closing walk first joins what S defends, accepts S only
-        if ``_close`` succeeds, and then branches over the free arguments
-        towards S's strict supersets.  While suspended, S is the set
-        accepted; the consumer restores S before it resumes, and may avoid
-        a set holding S, which the walk then escapes.  When the walk ends,
-        S and the exclusions are as they were.
-        """
-        trail, tick, blocked = self.trail, self.budget.tick, self.blocked
+        attackers for each uncovered b; and T escapes an avoided set holding
+        S through an unblocked argument outside it.  Branch k takes the k-th
+        such argument and excludes those before it, so the branches are
+        disjoint and cover every T.  Each branch ticks the budget.  S is
+        accepted when ``_choices`` is None; a closing walk first requires
+        ``_close`` to succeed, then branches over the free arguments.  While
+        suspended, S is the set accepted; the consumer restores S before it
+        resumes, and may avoid a set holding S, which the walk then escapes.
+        When the walk ends, S and the exclusions are as they were."""
+        trail, tick = self.trail, self.budget.tick
         mark = len(trail)
         # Iterative DFS: frame = [choices, next choice, trail mark].
         frames: list[list] = []
-        choices = self._choices(pool)
+        choices = self._choices(covering)
         while True:
             if choices is None and (not closing or self._close()):
-                yield
+                yield self.state[0]
+                s, hit, hits, out, _ = self.state
                 # Still None unless the consumer avoided a set holding S.
-                choices = ([a for a in range(self.n) if not blocked[a]]
-                           if closing else self._choices(pool) or [])
+                choices = (list(bits(self.universe & ~(s | hit | hits | out)))
+                           if closing else self._choices(covering) or [])
             if choices:
                 frames.append([choices, 0, len(trail)])
             while frames:
@@ -276,73 +283,69 @@ class _AdmissibleSearch:
                 self.undo_to(mark)
                 return
             if k:
-                self.exclude(choices[k - 1])
+                self.bar(choices[k - 1])
                 frame[2] = len(trail)
             frame[1] = k + 1
             tick()
             self.join(choices[k])
-            choices = self._choices(pool)
+            choices = self._choices(covering)
 
     def admissible(self) -> bool:
-        """Grow S to an admissible set inside no avoided set.
-
-        On failure S is as it was.  On success S is the set found, and the
-        exclusions made on the way stay: each names an earlier sibling
-        whose branch failed, which therefore no admissible superset of S
-        inside no avoided set can hold.
-        """
-        for _ in self._walk(self.open):
+        """Grow S to an admissible set inside no avoided set.  On failure S
+        is as it was.  On success the exclusions made on the way stay: each
+        names an earlier sibling whose branch failed, which therefore no
+        admissible superset of S inside no avoided set can hold."""
+        for _ in self._walk():
             return True
         return False
 
     def stable(self) -> Iterator[list[int]]:
-        """Yield each stable extension holding S once, as a member list."""
-        att_in, member = self.att_in, self.member
-        self.uncovered = {i for i in range(self.n)
-                          if not member[i] and not att_in[i]}
-        return (self.members() for _ in self._walk(self.uncovered))
+        """Yield each stable extension holding S once, as indices."""
+        return map(partial(_indices, self.reduct), self._walk(covering=True))
 
     def complete(self) -> Iterator[list[int]]:
-        """Yield each complete extension holding S once, as a member list."""
-        return (self.members() for _ in self._walk(self.open, closing=True))
+        """Yield each complete extension holding S once, as indices."""
+        return map(partial(_indices, self.reduct), self._walk(closing=True))
 
     def _close(self) -> bool:
-        """Join every argument the admissible S defends; S stays admissible
-        (Dung's fundamental lemma), and no node is counted.  False when S
-        defends an excluded argument, which no complete superset of S can
-        then avoid.
-
-        An argument S defends is neither attacked by S nor attacks it, nor
-        itself, so a blocked one is excluded."""
-        att_in, blocked, member, attackers, targets = (
-            self.att_in, self.blocked, self.member, self.attackers,
-            self.targets)
-        todo = [a for a in range(self.n) if not att_in[a] and not member[a]]
+        """Join every argument the admissible S defends, without a tick; S
+        stays admissible (Dung's fundamental lemma).  False when S defends an
+        excluded argument, which no complete superset of S can then avoid.
+        Only the targets of what S newly attacks can be newly defended."""
+        attackers, targets, missing = self.attackers, self.targets, self.missing
+        s, hit, hits, out, escaped = self.state
+        todo = self.universe & ~(s | hit)
         while todo:
-            a = todo.pop()
-            if (member[a] or att_in[a]
-                    or not all(map(att_in.__getitem__, attackers[a]))):
-                continue
-            if blocked[a]:
+            new = _mask(a for a in bits(todo) if not attackers[a] & ~hit)
+            if not new:
+                break
+            if new & out:
                 return False
-            self.join(a)
-            # A newly attacked argument's targets may be defended now.
-            for y in targets[a]:
-                if att_in[y] == 1:
-                    todo.extend(targets[y])
+            self.trail.append(self.state)
+            grown = 0
+            for a in bits(new):
+                grown |= targets[a]
+                hits |= attackers[a]
+                escaped |= missing[a]
+            s |= new
+            todo = 0
+            for y in bits(grown & ~hit):
+                todo |= targets[y]
+            hit |= grown
+            todo &= ~(s | hit)
+            self.state = (s, hit, hits, out, escaped)
         return True
 
     def _maximise(self) -> None:
-        """Grow the admissible S to a preferred extension.
-
-        After the closure, each argument still free is tried once, in index
-        order, and ticks the budget.  One that joins no admissible set
-        holding S stays out for good: S only grows, so it never could.
-        """
-        blocked, trail, tick = self.blocked, self.trail, self.budget.tick
+        """Grow the admissible S to a preferred extension: after the
+        closure, try each argument still free once, in index order, with a
+        tick.  One that joins no admissible set holding S stays out for
+        good: S only grows, so it never could."""
+        trail, tick = self.trail, self.budget.tick
         self._close()
-        for a in range(self.n):
-            if blocked[a]:
+        for a in bits(self.universe):
+            s, hit, hits, out, _ = self.state
+            if (s | hit | hits | out) >> a & 1:
                 continue
             tick()
             mark = len(trail)
@@ -351,110 +354,98 @@ class _AdmissibleSearch:
                 self._close()
             else:
                 self.undo_to(mark)
-                self.exclude(a)
+                self.bar(a)
 
     def preferred(self) -> Iterator[list[int]]:
-        """Yield the preferred extensions holding S, as member lists: at
-        each S accepted, grow S to a preferred extension, undo back to S,
-        avoid the extension and go on from S.  Avoided sets only grow, so
-        an exclusion made when a sibling failed stays valid."""
+        """Yield the preferred extensions holding S, as framework index
+        lists: at each S accepted, grow S to a preferred extension, undo
+        back to S, avoid the extension and go on from S.  Avoided sets only
+        grow, so an exclusion made when a sibling failed stays valid."""
         trail = self.trail
-        for _ in self._walk(self.open):
+        for _ in self._walk():
             mark = len(trail)
             self._maximise()
-            members = self.members()
+            found = self.state[0]
             self.undo_to(mark)
-            self.avoid(members)
-            yield members
+            self._avoid(found)
+            yield _indices(self.reduct, found)
 
 
 def _search(af: ArgumentationFramework, budget: _Budget) -> _AdmissibleSearch:
-    return _AdmissibleSearch(af.attacker_indices(), af.target_indices(), budget)
+    return _AdmissibleSearch(
+        _reduct(af.attacker_indices(), af.target_indices()), budget)
 
 
-def _scc_recursive(af: ArgumentationFramework, budget: _Budget, walk
-                   ) -> list[list[int]]:
+def _scc_recursive(reduct: tuple, budget: _Budget, walk) -> list[int]:
     """The extensions that ``walk``, ``_AdmissibleSearch.preferred`` or
-    ``.stable``, yields, found SCC by SCC: each lists the grounded
-    extension's indices and then its members in each component.
+    ``.stable``, yields, found SCC by SCC over the grounded ``reduct``, each
+    as the mask of its undecided members.
 
     A depth-first walk over the components, ancestors first, picks at each
-    an extension of the component conditioned on the picks above it.
-    ``count[i]`` counts argument i's IN attackers so far and
-    ``count[n + i]`` its undecided ones; ``status[i]`` is then 0 (dropped),
-    1 (self-attacked) or 2 (free), and a component's extensions are cached
-    by its members' statuses.  A branch ticks the budget where there is
-    more than one extension; a component with none ends the branch.
-    """
-    n, targets = len(af), af.target_indices()
-    grounded = set(grounded_indices(af.attacker_indices(), targets))
-    decided = _reach(targets, grounded)
-    rest = [i for i in range(n) if i not in decided]
-    pos = {i: k for k, i in enumerate(rest)}
-    succ = [[pos[y] for y in targets[i] if y in pos] for i in rest]
-    comps = [sorted(rest[k] for k in comp)
+    an extension of the component conditioned on the picks above it.  Two
+    masks, ORed over the picks so far, hold what an IN pick attacks and
+    what an undecided one attacks; a member is dropped, self-attacked or
+    free as it is in the first, only the second, or neither, and each
+    component caches its extensions by those masks on its members.  A
+    branch ticks where there is more than one extension; a component with
+    none ends the branch."""
+    succ = reduct[3]
+    targets = list(map(_mask, succ))
+    comps = [sorted(comp)
              for comp in reversed(strongly_connected_components(succ))]
-    at = {i: c for c, comp in enumerate(comps) for i in comp}
-    keys = [itemgetter(*comp) for comp in comps]
+    cms = list(map(_mask, comps))
     caches: list[dict] = [{} for _ in comps]
-    count, status = [0] * (2 * n), bytearray(b"\2") * n
 
-    def options(c: int) -> list:
-        # Per extension: its members, then the ``count`` entries it raises.
-        key = keys[c](status)
+    def options(c: int, hit: int, undec: int) -> list:
+        # Per extension: its mask, and the masks of what its members and
+        # the component's undecided members attack.
+        cm = cms[c]
+        key = (hit & cm, undec & cm & ~hit)
         found = caches[c].get(key)
         if found is None:
             # The conditioned component, by local index: position in keep.
-            keep = [i for i in comps[c] if status[i]]
-            local = {i: j for j, i in enumerate(keep)}
-            tgts = [[local[y] for y in targets[i] if y in local] for i in keep]
+            keep = [j for j in comps[c] if not hit >> j & 1]
+            local = {j: k for k, j in enumerate(keep)}
+            tgts = [[local[y] for y in succ[j] if y in local] for j in keep]
             atts: list[list[int]] = [[] for _ in keep]
-            for j, ys in enumerate(tgts):
-                if status[keep[j]] == 1 and j not in ys:
-                    insort(ys, j)
+            for k, ys in enumerate(tgts):
+                if undec >> keep[k] & 1 and k not in ys:
+                    insort(ys, k)
                 for y in ys:
-                    atts[y].append(j)
-            later = [[y for y in targets[i] if at.get(y, c) > c] for i in keep]
+                    atts[y].append(k)
             found = caches[c][key] = []
-            for members in walk(_AdmissibleSearch(atts, tgts, budget)):
-                out = _reach(tgts, members)
-                found.append((tuple(keep[j] for j in sorted(members)), [
-                    y for j in members for y in later[j]] + [
-                    n + y for j, ys in enumerate(later) if j not in out
-                    for y in ys]))
+            search = _AdmissibleSearch(_reduct(atts, tgts), budget)
+            for members in walk(search):
+                e = _mask(keep[k] for k in members)
+                r = _range(targets, e)
+                found.append((e, r, _range(targets, cm & ~hit & ~r)))
         return found
 
-    def shift(raises: list, d: int) -> None:
-        for y in raises:
-            count[y] += d
-            i = y % n
-            status[i] = 0 if count[i] else 1 if count[n + i] else 2
-
-    # ``stack`` holds (options, pick) per component picked but the last.
+    # ``stack`` holds, per component picked but the last, its options, the
+    # pick, and the three masks as they were above it.
     tick, leaves, last = budget.tick, [], len(comps) - 1
-    chosen, stack = [tuple(sorted(grounded))], []
     if last < 0:
-        return [list(grounded)]
-    found, k = options(0), 0
+        return [0]
+    stack: list[tuple] = []
+    hit = undec = s = 0
+    found, k = options(0, 0, 0), 0
     while True:
         if len(stack) == last:
-            for members, _ in found:
+            for e, _, _ in found:
                 if len(found) > 1:
                     tick()
-                leaves.append(list(chain(*chosen, members)))
+                leaves.append(s | e)
         elif k < len(found):
             if len(found) > 1:
                 tick()
-            stack.append((found, k))
-            chosen.append(found[k][0])
-            shift(found[k][1], 1)
-            found, k = options(len(stack)), 0
+            stack.append((found, k, hit, undec, s))
+            e, r, u = found[k]
+            hit, undec, s = hit | r, undec | u, s | e
+            found, k = options(len(stack), hit, undec), 0
             continue
         if not stack:
             return leaves
-        found, k = stack.pop()
-        chosen.pop()
-        shift(found[k][1], -1)
+        found, k, hit, undec, s = stack.pop()
         k += 1
 
 
@@ -466,39 +457,45 @@ def _reach(targets: Sequence[Sequence[int]], s: Iterable[int]) -> set[int]:
 def _extensions(sem: Semantics, af: ArgumentationFramework,
                 budget: _Budget) -> list[Extension]:
     """The ``sem``-extensions of ``af``, unordered: the one place a
-    semantics is mapped to its algorithm."""
+    semantics is mapped to its algorithm.  The searches keep what they find
+    as masks over the grounded reduct, named only once they end."""
     if sem == Semantics.GR:
         return [grounded_extension(af)]
+    reduct = _reduct(af.attacker_indices(), af.target_indices())
+    named = lambda m: af.names_of(_indices(reduct, m))  # noqa: E731
     if sem in (Semantics.ST, Semantics.SST, Semantics.STG):
-        stable = list(map(af.names_of, _scc_recursive(
-            af, budget, _AdmissibleSearch.stable)))
+        stable = _scc_recursive(reduct, budget, _AdmissibleSearch.stable)
         # When stable extensions exist they are exactly the semi-stable and
         # the stage ones (Caminada 2006).
         if sem == Semantics.ST or stable:
-            return stable
+            return list(map(named, stable))
     if sem == Semantics.CO:
-        return [af.names_of(m) for m in _search(af, budget).complete()]
+        search = _AdmissibleSearch(reduct, budget)
+        return list(map(named, list(search._walk(closing=True))))
     if sem == Semantics.STG:
+        # Stage extensions need not hold the grounded extension, so their
+        # candidates are masks over the whole framework.
         candidates = list(_maximal_conflict_free_sets(af, budget))
+        tm = list(map(_mask, af.target_indices()))
+        named = lambda c: af.names_of(bits(c))  # noqa: E731
     else:
-        leaves = _scc_recursive(af, budget, _AdmissibleSearch.preferred)
+        leaves = _scc_recursive(reduct, budget, _AdmissibleSearch.preferred)
         if sem == Semantics.ID:
-            return [_ideal(af, leaves)]
+            return [_ideal(af, [_indices(reduct, m) for m in leaves])]
         if sem == Semantics.PR:
-            return list(map(af.names_of, leaves))
+            return list(map(named, leaves))
         # Semi-stable extensions are preferred: growing a complete set
         # strictly grows its range, so a range-maximal complete set is
-        # set-maximal too.
-        candidates = list(map(_mask, leaves))
-    tm = list(map(_mask, af.target_indices()))
+        # set-maximal too.  Every range holds the decided arguments, so the
+        # ranges compare on the reduct alone.
+        candidates, tm = leaves, list(map(_mask, reduct[3]))
     ranges = [_range(tm, c) for c in candidates]
     widest = _maximal_masks(set(ranges))
-    return [af.names_of(bits(c)) for c, r in zip(candidates, ranges)
-            if r in widest]
+    return [named(c) for c, r in zip(candidates, ranges) if r in widest]
 
 
 def _mask(indices: Iterable[int]) -> int:
-    """The bitmask of ``indices``; only semi-stable and stage build masks."""
+    """The bitmask of ``indices``: every mask built from index lists."""
     m = 0
     for i in indices:
         m |= 1 << i
@@ -539,7 +536,7 @@ def _maximal_conflict_free_sets(af: ArgumentationFramework,
     sets of the conflict graph on the non-self-attacking arguments, where P
     and X stay (Bron-Kerbosch with pivoting on the implicit complement)."""
     targets = af.target_indices()
-    universe = sum(1 << i for i, ts in enumerate(targets) if i not in ts)
+    universe = _mask(i for i, ts in enumerate(targets) if i not in ts)
     conflict = list(map(_mask, map(chain, af.attacker_indices(), targets)))
 
     stack = [(0, universe, 0)]
@@ -598,8 +595,11 @@ def solve_optimized(task: TaskSpec, af: ArgumentationFramework,
     """
     b = _Budget(budget)
     if task.problem == "D3":
-        full = {af.names_of(p): len(_reach(af.target_indices(), p)) == len(af)
-                for p in _scc_recursive(af, b, _AdmissibleSearch.preferred)}
+        # Full range in the framework is full range in the reduct.
+        reduct = _reduct(af.attacker_indices(), af.target_indices())
+        tm, everything = list(map(_mask, reduct[3])), (1 << len(reduct[2])) - 1
+        full = {af.names_of(_indices(reduct, m)): _range(tm, m) == everything
+                for m in _scc_recursive(reduct, b, _AdmissibleSearch.preferred)}
         return Triathlon([grounded_extension(af)],
                          [p for p, f in full.items() if f], full)
     sem, query = task.semantics, task.query

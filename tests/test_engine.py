@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from afkit import engine, oracle
-from afkit.core import ArgumentationFramework
+from afkit.core import ArgumentationFramework, grounded_extension, range_of
 from afkit.errors import BudgetExceededError
 from afkit.generators import (ErdosRenyi, WattsStrogatz, gen_admbuster,
                               gen_erdos, gen_sembuster, gen_watts)
@@ -78,18 +78,55 @@ def test_dominated_stops_at_its_first_witness(monkeypatch, sem):
     assert len(budgets) == 1 and budgets[0].remaining >= 0
 
 
-@pytest.mark.parametrize("af", [gen_admbuster(2000), gen_sembuster(6)],
-                         ids=["admbuster-2000", "sembuster-6"])
-def test_preferred_tasks_build_no_per_argument_masks(monkeypatch, af):
-    # Masks cost O(n^2) bits; the searches work on adjacency lists only.
-    def refuse(indices):
-        raise AssertionError("per-argument bitmasks were built")
+def _behind_grounded(af):
+    """``af`` behind a decided prefix: an unattacked ``g0`` (IN) attacks
+    ``g1`` (OUT), which attacks ``af``'s first argument.  Both come first in
+    the argument order, so a mask over framework indices that has a bit
+    for any of ``af``'s arguments is wider than ``len(af)`` bits."""
+    return ArgumentationFramework(
+        ["g0", "g1", *af.args],
+        [*af.attacks, ("g0", "g1"), ("g1", af.args[0])])
 
-    monkeypatch.setattr(engine, "_mask", refuse)
+
+def _undecided(af):
+    return len(af) - len(range_of(af, grounded_extension(af)))
+
+
+def _mask_widths(monkeypatch):
+    """The bit lengths of the masks the engine builds from index lists,
+    recorded as they are built."""
+    widths, real = [], engine._mask
+
+    def recording(indices):
+        m = real(indices)
+        widths.append(m.bit_length())
+        return m
+
+    monkeypatch.setattr(engine, "_mask", recording)
+    return widths
+
+
+@pytest.mark.parametrize("make", [
+    lambda: gen_admbuster(2000), lambda: gen_sembuster(6),
+    lambda: _behind_grounded(gen_sembuster(6)),
+    lambda: _behind_grounded(_nested_ranges())],
+    ids=["admbuster-2000", "sembuster-6", "sembuster-6-behind-grounded",
+         "nested-ranges-behind-grounded"])
+def test_grounded_tasks_build_masks_over_the_undecided_arguments_only(
+        monkeypatch, make):
+    # The searches and the semi-stable filter work on the grounded reduct:
+    # a mask has one bit per argument the grounded extension leaves
+    # undecided.  AdmBuster's grounded extension decides every argument, so
+    # no mask built there sets a bit at all.  The nested ranges have no
+    # stable extension, so EE-SST runs the filter there.
+    af = make()
+    widths = _mask_widths(monkeypatch)
     query = af.args[len(af) // 2]
-    for name in ("EE-PR", "DC-PR", "DS-PR", "SE-ID", "EE-CO", "D3"):
+    for name in ("EE-PR", "DC-PR", "DS-PR", "SE-ID", "EE-CO", "EE-ST",
+                 "DC-ST", "DS-ST", "EE-SST", "D3"):
         task = parse_task(name, query if name[:2] in ("DC", "DS") else None)
         engine.solve_optimized(task, af)
+    assert widths and max(widths) <= _undecided(af)
 
 
 def _random_afs(count, max_args, seed):
@@ -227,14 +264,51 @@ def test_semi_stable_keeps_only_the_widest_of_nested_ranges():
                 oracle.solve(task, af), (name, query)
 
 
-def test_semi_stable_dominance_builds_no_per_argument_masks(monkeypatch):
-    def refuse(indices):
-        raise AssertionError("per-argument bitmasks were built")
+def test_semi_stable_dominance_builds_masks_over_the_undecided_arguments_only(
+        monkeypatch):
+    af = _behind_grounded(_nested_ranges())
+    widths = _mask_widths(monkeypatch)
+    assert engine.dominated("SST", af, frozenset({"g0", "a1", "a2"}))
+    assert not engine.dominated("SST", af, frozenset({"g0", "b1", "a2"}))
+    assert widths and max(widths) <= _undecided(af) == len(af) - 2
 
-    monkeypatch.setattr(engine, "_mask", refuse)
-    af = _nested_ranges()
-    assert engine.dominated("SST", af, frozenset({"a1", "a2"}))
-    assert not engine.dominated("SST", af, frozenset({"b1", "a2"}))
+
+def _three_kinds():
+    """Decided and undecided arguments interleaved in the argument order:
+    ``g`` is grounded, ``o`` is attacked by it, and the rest are
+    undecided.  ``o`` attacks ``a`` of the mutual pair ``a``/``b``; ``b``
+    attacks ``c`` of the mutual pair ``c``/``d``; ``d`` attacks the
+    self-attacker ``e``, so every stable extension holds ``d``."""
+    return ArgumentationFramework(
+        ["a", "g", "b", "o", "c", "e", "d"],
+        [("g", "o"), ("o", "a"), ("a", "b"), ("b", "a"), ("b", "c"),
+         ("c", "d"), ("d", "c"), ("d", "e"), ("e", "e")])
+
+
+def test_decisions_at_the_reduct_boundary_match_the_oracle():
+    # The searches run on the grounded reduct and translate a query at
+    # their boundary; a grounded query, one the grounded extension attacks
+    # and an undecided one each take a different path there.
+    af = _three_kinds()
+    grounded = grounded_extension(af)
+    attacked = range_of(af, grounded) - grounded
+    assert grounded == {"g"} and attacked == {"o"}
+    for problem in ("DC", "DS"):
+        for sem in ("CO", "PR", "ST"):
+            for query in af.args:
+                task = parse_task(f"{problem}-{sem}", query)
+                assert engine.solve_optimized(task, af) == \
+                    oracle.solve(task, af), (task.name(), query)
+
+
+def test_dominance_at_the_reduct_boundary_matches_the_oracle():
+    af = _three_kinds()
+    exts = oracle.oracle_table(af)
+    assert len(exts[Semantics.CO]) > len(exts[Semantics.PR]) > 1
+    for ext in exts[Semantics.CO]:
+        for sem in (Semantics.PR, Semantics.SST):
+            assert engine.dominated(sem, af, ext) == \
+                (ext not in exts[sem]), (sem, sorted(ext))
 
 
 def test_stable_semantics_is_not_directional():
